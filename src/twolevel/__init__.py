@@ -10,6 +10,7 @@ enumeration of embedding strata.
 from .compiler import (
     CompilationResult,
     LiftedLetter,
+    LiftedWord,
     compile,
     compile_pure,
     lift_word,

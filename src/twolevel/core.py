@@ -66,13 +66,6 @@ def anti_hermitian_defect(x: np.ndarray) -> float:
     return float(np.abs(x.conj().T + x).max())
 
 
-def is_anti_hermitian(x, tol: float | None = None) -> bool:
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        return False
-    return anti_hermitian_defect(x) <= scaled_tol(x.shape[0], tol)
-
-
 def operator_norm(a) -> float:
     """Largest singular value; exact for 1x1 and diagonal inputs."""
     a = as_matrix(a)

@@ -28,7 +28,11 @@ def principal_angle(x):
 
 @dataclass
 class DiagonalUnitary:
-    """Diagonal unitary stored by its entry angles, each in (-pi, pi]."""
+    """Diagonal unitary stored by its entry angles, each in (-pi, pi].
+
+    One built ``from_entries`` also keeps those entries and returns them
+    unchanged, so that a parsed result serializes back to the same numbers.
+    """
 
     angles: np.ndarray
 
@@ -37,6 +41,7 @@ class DiagonalUnitary:
         if a.ndim != 1 or a.size < 1 or not np.isfinite(a).all():
             raise InvalidInput("angles must be a finite 1-d array")
         self.angles = np.asarray(principal_angle(a))
+        self._entries = None
 
     @property
     def dim(self) -> int:
@@ -44,7 +49,7 @@ class DiagonalUnitary:
 
     @property
     def entries(self) -> np.ndarray:
-        return np.exp(1.0j * self.angles)
+        return np.exp(1.0j * self.angles) if self._entries is None else self._entries
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.entries)
@@ -52,6 +57,15 @@ class DiagonalUnitary:
     @classmethod
     def identity(cls, n: int) -> "DiagonalUnitary":
         return cls(np.zeros(n))
+
+    @classmethod
+    def from_entries(cls, entries) -> "DiagonalUnitary":
+        z = np.asarray(entries, dtype=np.complex128)
+        d = cls(np.angle(z))
+        if not float(np.abs(np.abs(z) - 1.0).max()) <= scaled_tol(z.size):
+            raise InvalidInput("diagonal entries are not unit modulus")
+        d._entries = z
+        return d
 
     @classmethod
     def from_matrix(cls, u, tol: float | None = None) -> "DiagonalUnitary":

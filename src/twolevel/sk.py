@@ -100,23 +100,72 @@ class GateSet:
         return cls.from_letters(letters)
 
 
-@dataclass(frozen=True)
 class GateWord:
-    """A word over the alphabet: sequence of (label, inverted) pairs."""
+    """A word over the alphabet: sequence of (label, inverted) pairs.
 
-    letters: tuple = ()
+    Stored compactly as int16 letter codes ``2 * i + inv`` into the label
+    table ``labels`` (the alphabet's labels for words SK builds, the labels
+    in order of first use for words built from letters), so that inversion
+    and concatenation are array operations.
+    """
+
+    __slots__ = ("codes", "labels")
+
+    def __init__(self, letters=()):
+        pos: dict = {}
+        codes = [2 * pos.setdefault(str(lab), len(pos)) + bool(inv) for lab, inv in letters]
+        self.codes = np.array(codes, dtype=np.int16)
+        self.labels = tuple(pos)
+
+    @classmethod
+    def from_codes(cls, codes, labels) -> "GateWord":
+        w = cls.__new__(cls)
+        w.codes = np.asarray(codes, dtype=np.int16)
+        w.labels = tuple(labels)
+        return w
+
+    @property
+    def letters(self) -> tuple:
+        return tuple((self.labels[c >> 1], bool(c & 1)) for c in self.codes.tolist())
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GateWord) and self.letters == other.letters
+
+    def __repr__(self) -> str:
+        return f"GateWord({self.letters!r})"
 
     def inverse(self) -> "GateWord":
-        return GateWord(tuple((lab, not inv) for lab, inv in reversed(self.letters)))
+        return GateWord.from_codes(self.codes[::-1] ^ 1, self.labels)
 
     def __add__(self, other: "GateWord") -> "GateWord":
-        return GateWord(self.letters + other.letters)
+        return GateWord.concat([self, other])
+
+    @classmethod
+    def concat(cls, words) -> "GateWord":
+        """Concatenation, by array when the non-empty words share one label table."""
+        words = [w for w in words if len(w)]
+        if not words:
+            return cls()
+        if any(w.labels != words[0].labels for w in words):
+            return cls([l for w in words for l in w.letters])
+        return cls.from_codes(np.concatenate([w.codes for w in words]), words[0].labels)
+
+    def codes_for(self, gate_set: GateSet) -> np.ndarray:
+        """The codes over the letter order of ``gate_set``.
+
+        Only labels the word uses are looked up, so UnknownLetter is raised
+        exactly when ``gate_set`` lacks a letter of the word.
+        """
+        index = np.zeros(len(self.labels), dtype=np.int16)
+        for i in np.unique(self.codes >> 1).tolist():
+            index[i] = gate_set.index_of(self.labels[i])
+        return 2 * index[self.codes >> 1] + (self.codes & 1)
 
     def to_json(self) -> dict:
-        return {"letters": [{"label": lab, "inv": bool(inv)} for lab, inv in self.letters]}
+        return {"letters": [{"label": lab, "inv": inv} for lab, inv in self.letters]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GateWord":
@@ -126,13 +175,44 @@ class GateWord:
             raise InvalidInput(f"malformed GateWord JSON: {exc}") from exc
 
 
+def letter_table(gate_set: GateSet) -> np.ndarray:
+    """The letters and their daggers stacked so that code ``2 * i + inv`` indexes them."""
+    ext = np.empty((2 * len(gate_set.matrices), 2, 2), dtype=np.complex128)
+    for i, m in enumerate(gate_set.matrices):
+        ext[2 * i] = m
+        ext[2 * i + 1] = m.conj().T
+    return ext
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched 2x2 product a[k] @ b[k], written out (np.matmul is slow on 2x2 stacks)."""
+    out = np.empty(a.shape, dtype=np.complex128)
+    out[:, 0, 0] = a[:, 0, 0] * b[:, 0, 0] + a[:, 0, 1] * b[:, 1, 0]
+    out[:, 0, 1] = a[:, 0, 0] * b[:, 0, 1] + a[:, 0, 1] * b[:, 1, 1]
+    out[:, 1, 0] = a[:, 1, 0] * b[:, 0, 0] + a[:, 1, 1] * b[:, 1, 0]
+    out[:, 1, 1] = a[:, 1, 0] * b[:, 0, 1] + a[:, 1, 1] * b[:, 1, 1]
+    return out
+
+
+def chain_product(mats: np.ndarray) -> np.ndarray:
+    """Ordered product mats[0] @ mats[1] @ ... of a stack of 2x2 matrices.
+
+    Reduces by ordered pairwise halving, (x1 x2)(x3 x4)..., carrying an odd
+    last factor up a level: log2(n) batched products instead of n matmuls.
+    An empty stack gives the identity and a single factor itself, exactly.
+    """
+    if len(mats) == 0:
+        return np.eye(2, dtype=np.complex128)
+    while len(mats) > 1:
+        n = len(mats)
+        prod = _mul2(mats[0:n - 1:2], mats[1::2])
+        mats = np.concatenate((prod, mats[n - 1:])) if n % 2 else prod
+    return mats[0]
+
+
 def evaluate_word(word: GateWord, gate_set: GateSet) -> np.ndarray:
     """Left-to-right product of the word's letters (inverted ones as daggers)."""
-    m = np.eye(2, dtype=np.complex128)
-    for lab, inv in word.letters:
-        x = gate_set.matrices[gate_set.index_of(lab)]
-        m = m @ (x.conj().T if inv else x)
-    return m
+    return chain_product(letter_table(gate_set)[word.codes_for(gate_set)])
 
 
 def _s_values(mats: np.ndarray) -> np.ndarray:
@@ -171,13 +251,16 @@ class BasicNet:
     def __len__(self) -> int:
         return len(self.mats)
 
-    def word_at(self, i: int) -> GateWord:
-        letters = []
+    def codes_at(self, i: int) -> np.ndarray:
+        """Letter codes of entry i, read back along its parent chain."""
+        codes = []
         while i > 0:
-            c = int(self.code[i])
-            letters.append((self.gate_set.labels[c >> 1], bool(c & 1)))
-            i = int(self.parent[i])
-        return GateWord(tuple(reversed(letters)))
+            codes.append(self.code[i])
+            i = self.parent[i]
+        return np.array(codes[::-1], dtype=np.int16)
+
+    def word_at(self, i: int) -> GateWord:
+        return GateWord.from_codes(self.codes_at(i), self.gate_set.labels)
 
     def entries(self):
         """Iterate (word, matrix) pairs; intended for small nets and tests."""
@@ -279,10 +362,7 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
     if max_len < 0:
         raise InvalidInput("max_len must be >= 0")
     n_letters = len(gate_set.labels)
-    ext = np.empty((2 * n_letters, 2, 2), dtype=np.complex128)
-    for i, m in enumerate(gate_set.matrices):
-        ext[2 * i] = m
-        ext[2 * i + 1] = m.conj().T
+    ext = letter_table(gate_set)
 
     mats = [np.eye(2, dtype=np.complex128)[None, :, :]]
     parent = [np.array([-1], dtype=np.int64)]
@@ -434,7 +514,11 @@ def _as_su2(v) -> np.ndarray:
 
 
 class _SkSession:
-    """One sk_approximate run: memoized fixed-depth recursion over the net."""
+    """One sk_approximate run: memoized fixed-depth recursion over the net.
+
+    Results are (letter codes, matrix, error); words are assembled by array
+    concatenation, the inverse of a word being ``codes[::-1] ^ 1``.
+    """
 
     def __init__(self, net: BasicNet):
         self.net = net
@@ -457,7 +541,7 @@ class _SkSession:
             return hit
         if d == 0:
             idx, err = self.net.nearest(target)
-            res = (self.net.word_at(idx), self.net.mats[idx], err)
+            res = (self.net.codes_at(idx), self.net.mats[idx], err)
         else:
             prev_w, prev_m, prev_e = self._go(target, d - 1)
             delta = target @ prev_m.conj().T
@@ -470,7 +554,7 @@ class _SkSession:
                 m = ma @ mb @ ma.conj().T @ mb.conj().T @ prev_m
                 e = _su2_dist_formula(target, m)
                 if e < prev_e:
-                    res = (wa + wb + wa.inverse() + wb.inverse() + prev_w, m, e)
+                    res = (np.concatenate((wa, wb, wa[::-1] ^ 1, wb[::-1] ^ 1, prev_w)), m, e)
                 else:
                     res = (prev_w, prev_m, prev_e)
         self.memo[key] = res
@@ -495,7 +579,8 @@ def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = 5):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
     if depth < 0:
         raise InvalidInput("depth must be >= 0")
-    word, _, _ = _SkSession(net).run(v, eps, depth)
+    codes, _, _ = _SkSession(net).run(v, eps, depth)
+    word = GateWord.from_codes(codes, net.gate_set.labels)
     achieved = su2_distance(v, evaluate_word(word, net.gate_set))
     if achieved > eps:
         raise AccuracyNotReached(
