@@ -48,11 +48,8 @@ from .sk import (
     BasicNet,
     GateSet,
     GateWord,
-    base_approx,
     build_net,
     evaluate_word,
-    group_commutator_decompose,
-    sk_approximate,
     sk_approximate_with_error,
 )
 from .strata import (

@@ -69,8 +69,9 @@ def _emit(obj) -> None:
 
 
 def _net_for(gate_set: sk.GateSet, max_len: int) -> sk.BasicNet:
-    """Build or load the cached net for (gate-set hash, max_len)."""
-    canon = json.dumps(gate_set.to_json(), sort_keys=True) + f"|{max_len}"
+    """Build or load the cached net for (gate set, max_len, DEDUP_TOL, NET_FORMAT)."""
+    canon = (json.dumps(gate_set.to_json(), sort_keys=True)
+             + f"|{max_len}|{sk.DEDUP_TOL!r}|{sk.BasicNet.NET_FORMAT}")
     digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
     cache = config.cache_dir()
     path = cache / f"net_{digest}.npz"
@@ -272,11 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "table"), default=None)
+
+    def common_tol(p):
+        common(p)
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     p = sub.add_parser("factor", help="Givens-factor a unitary matrix file")
     p.add_argument("matrix")
-    common(p)
+    common_tol(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("compile", help="compile a unitary over a finite gate set")
@@ -299,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minlog", help="minimal logarithm and geodesic energy of a 2x2 unitary")
     p.add_argument("matrix")
     p.add_argument("--special", action="store_true", help="use the SU(2) logarithm")
-    common(p)
+    common_tol(p)
     p.set_defaults(func=cmd_minlog)
 
     p = sub.add_parser("diag", help="synthesize a diagonal unitary from phase rotations")
     p.add_argument("matrix")
-    common(p)
+    common_tol(p)
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("verify", help="recompute the achieved error of a compilation result")

@@ -47,10 +47,6 @@ class NetTooLarge(TwoLevelError):
     """Word enumeration exceeded the configured entry cap."""
 
 
-class OutOfRegime(TwoLevelError):
-    """Group-commutator decomposition called outside the small-step regime."""
-
-
 class NoFaithfulStrata(TwoLevelError):
     """No faithful embedding exists at the requested dimension."""
 

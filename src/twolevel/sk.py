@@ -14,32 +14,24 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_matrix, assert_unitary, matrix_from_json, matrix_to_json
-from .errors import (
-    AccuracyNotReached,
-    InvalidInput,
-    NetTooLarge,
-    OutOfRegime,
-    UnknownLetter,
-)
-from .su2 import bloch_components, rotation, su2_distance
+from .errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
+from .su2 import SU2_DET_TOL, bloch_components, det2, eigen_angle, rotation, su2_distance
 
 #: Net entries closer than this (operator norm) are merged, keeping the shorter word.
 DEDUP_TOL = 1e-6
 
-#: Determinant slack accepted for gate-set letters.
-LETTER_DET_TOL = 1e-8
-
 DEFAULT_NET_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateSet:
-    """Ordered, labeled SU(2) alphabet."""
+    """Ordered, labeled SU(2) alphabet, equal only to itself (see compiler._check_alphabet)."""
 
     labels: tuple[str, ...]
     matrices: tuple
@@ -57,8 +49,8 @@ class GateSet:
             if m.shape != (2, 2):
                 raise InvalidInput(f"letter {lab!r} must be 2x2, got {m.shape}")
             m = assert_unitary(m, what=f"letter {lab!r}")
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if abs(det - 1.0) > LETTER_DET_TOL:
+            det = det2(m)
+            if abs(det - 1.0) > SU2_DET_TOL:
                 raise InvalidInput(f"letter {lab!r} is not special unitary (det {det:.6g})")
             mats.append(m)
         object.__setattr__(self, "matrices", tuple(mats))
@@ -67,15 +59,6 @@ class GateSet:
     def from_letters(cls, letters) -> "GateSet":
         labels, mats = zip(*letters)
         return cls(tuple(str(s) for s in labels), tuple(mats))
-
-    @property
-    def inverse_closed(self) -> bool:
-        """True if every letter's inverse is itself a letter (within 1e-12)."""
-        for m in self.matrices:
-            inv = m.conj().T
-            if not any(np.abs(other - inv).max() <= 1e-12 for other in self.matrices):
-                return False
-        return True
 
     def index_of(self, label: str) -> int:
         try:
@@ -216,8 +199,8 @@ def evaluate_word(word: GateWord, gate_set: GateSet) -> np.ndarray:
 
 
 def _s_values(mats: np.ndarray) -> np.ndarray:
-    """Operator-norm distance to the identity, sqrt(2 - Re Tr), per entry."""
-    tr = np.real(mats[:, 0, 0] + mats[:, 1, 1])
+    """Operator-norm distance to the identity, sqrt(2 - Re Tr), of a 2x2 matrix or a stack."""
+    tr = np.real(mats[..., 0, 0] + mats[..., 1, 1])
     return np.sqrt(np.clip(2.0 - tr, 0.0, 4.0))
 
 
@@ -262,11 +245,6 @@ class BasicNet:
     def word_at(self, i: int) -> GateWord:
         return GateWord.from_codes(self.codes_at(i), self.gate_set.labels)
 
-    def entries(self):
-        """Iterate (word, matrix) pairs; intended for small nets and tests."""
-        for i in range(len(self)):
-            yield self.word_at(i), self.mats[i]
-
     def nearest(self, v: np.ndarray) -> tuple[int, float]:
         """Exact operator-norm nearest entry: (index, distance).
 
@@ -275,7 +253,7 @@ class BasicNet:
         """
         v = np.asarray(v, dtype=np.complex128)
         v8 = v.reshape(4).view(np.float64)
-        s_t = float(np.sqrt(np.clip(2.0 - np.real(v[0, 0] + v[1, 1]), 0.0, 4.0)))
+        s_t = float(_s_values(v))
         pos = int(np.searchsorted(self._s_sorted, s_t))
         lo0, hi0 = max(0, pos - 64), min(len(self), pos + 64)
         probe = self._s_order[lo0:hi0]
@@ -314,9 +292,11 @@ class BasicNet:
             worst = max(worst, self.nearest(v)[1])
         return worst
 
-    def save(self, path) -> None:
-        import json
+    #: Version of what ``build_net`` enumerates and of the npz layout ``save``
+    #: writes; net caches are keyed on it.  Bump it when either changes.
+    NET_FORMAT = 1
 
+    def save(self, path) -> None:
         np.savez(
             path,
             mats=self.mats,
@@ -329,8 +309,6 @@ class BasicNet:
 
     @classmethod
     def load(cls, path) -> "BasicNet":
-        import json
-
         with np.load(path, allow_pickle=False) as z:
             gs = GateSet.from_json(json.loads(str(z["gate_set"][0])))
             return cls(
@@ -448,20 +426,13 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
     )
 
 
-def base_approx(v, net: BasicNet) -> GateWord:
-    """Net entry minimizing the operator-norm distance to ``v`` (special unitary)."""
-    idx, _ = net.nearest(as_matrix(v))
-    return net.word_at(idx)
-
-
-def _rotation_angle(delta: np.ndarray) -> float:
-    """Rotation parameter (twice the eigen-angle) of an SU(2) element."""
-    c = 0.5 * float(np.real(delta[0, 0] + delta[1, 1]))
-    return 2.0 * float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def _balanced_pair(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-angle balanced commutator construction (no regime check)."""
+    """Balanced A, B in SU(2) with A B A^-1 B^-1 = delta.
+
+    Valid in the small-step regime (rotation angle <= pi/2), which the
+    caller enforces; the returned rotations have angle O(sqrt(angle(delta))),
+    axes fixed to the x/y pair conjugated onto the target axis.
+    """
     a, vec = bloch_components(delta)
     alpha = float(np.arccos(np.clip(a, -1.0, 1.0)))
     vnorm = float(np.linalg.norm(vec))
@@ -491,30 +462,8 @@ def _balanced_pair(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s @ a0 @ s.conj().T, s @ b0 @ s.conj().T
 
 
-def group_commutator_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced A, B in SU(2) with A B A^-1 B^-1 = delta.
-
-    Requires the small-step regime (rotation angle <= pi/2); the returned
-    rotations have angle O(sqrt(angle(delta))), axes fixed to the x/y pair
-    conjugated onto the target axis.
-    """
-    delta = _as_su2(delta)
-    if _rotation_angle(delta) > np.pi / 2.0 + 1e-12:
-        raise OutOfRegime(
-            f"rotation angle {_rotation_angle(delta):.4f} exceeds pi/2"
-        )
-    return _balanced_pair(delta)
-
-
-def _as_su2(v) -> np.ndarray:
-    v = as_matrix(v)
-    if v.shape != (2, 2):
-        raise InvalidInput(f"expected a 2x2 matrix, got {v.shape}")
-    return v
-
-
 class _SkSession:
-    """One sk_approximate run: memoized fixed-depth recursion over the net.
+    """One sk_approximate_with_error run: memoized fixed-depth recursion over the net.
 
     Results are (letter codes, matrix, error); words are assembled by array
     concatenation, the inverse of a word being ``codes[::-1] ^ 1``.
@@ -545,7 +494,7 @@ class _SkSession:
         else:
             prev_w, prev_m, prev_e = self._go(target, d - 1)
             delta = target @ prev_m.conj().T
-            if _rotation_angle(delta) > np.pi / 2.0:
+            if 2.0 * eigen_angle(delta) > np.pi / 2.0:
                 res = (prev_w, prev_m, prev_e)
             else:
                 a, b = _balanced_pair(delta)
@@ -561,20 +510,19 @@ class _SkSession:
         return res
 
 
-def sk_approximate(v, eps: float, net: BasicNet, depth: int = 5) -> GateWord:
+def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = 5):
     """Word over the net's alphabet within ``eps`` of ``v`` in operator norm.
 
     Iteratively deepens the commutator recursion up to ``depth``, stopping
-    as soon as the target accuracy is met; raises AccuracyNotReached (with
+    as soon as the target accuracy is met.  Returns ``(word, achieved)``,
+    the distance re-checked from the word; raises AccuracyNotReached (with
     the best achieved distance and word) if the budget cannot be met.
+    A level whose residual rotates by more than pi/2, outside the
+    commutator's regime, keeps the previous level's word.
     """
-    word, err = sk_approximate_with_error(v, eps, net, depth)
-    return word
-
-
-def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = 5):
-    """Like sk_approximate, also returning the verified achieved distance."""
-    v = _as_su2(v)
+    v = as_matrix(v)
+    if v.shape != (2, 2):
+        raise InvalidInput(f"expected a 2x2 matrix, got {v.shape}")
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
     if depth < 0:

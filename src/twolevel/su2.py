@@ -16,7 +16,7 @@ import scipy.linalg
 from .core import as_matrix, assert_unitary, operator_norm
 from .errors import InvalidInput, NotSpecial
 
-#: Determinant tolerance for SU(2) membership checks.
+#: Determinant slack accepted for SU(2) membership (gate-set letters, --special).
 SU2_DET_TOL = 1e-8
 
 #: Minimal logs stop being unique within this distance of the cut locus.
@@ -45,8 +45,13 @@ def _as_2x2_unitary(v, what: str = "matrix") -> np.ndarray:
     return assert_unitary(v, what=what)
 
 
+def det2(v: np.ndarray) -> complex:
+    """Determinant of a 2x2 matrix."""
+    return v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+
+
 def _check_special(v: np.ndarray, what: str = "matrix") -> None:
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    det = det2(v)
     if abs(det - 1.0) > SU2_DET_TOL:
         raise NotSpecial(f"{what} has det {det:.6g}, not 1")
 
@@ -98,8 +103,7 @@ def split_phase_u2(v) -> tuple[float, np.ndarray]:
     principal argument, so theta lies in (-pi/2, pi/2].
     """
     v = _as_2x2_unitary(v)
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    theta = 0.5 * float(np.angle(det))
+    theta = 0.5 * float(np.angle(det2(v)))
     s = np.exp(-1.0j * theta) * v
     return theta, s
 
@@ -143,9 +147,7 @@ def minlog_u2(v) -> MinLogResult:
 
 def geodesic_energy(v, special: bool = False) -> float:
     """Minimal geodesic energy (1/2) ||X||_hs^2 over logs in su(2) or u(2)."""
-    v = _as_2x2_unitary(v)
     if special:
-        _check_special(v)
         res = minlog_su2(v)
     else:
         res = minlog_u2(v)

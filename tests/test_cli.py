@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twolevel import cli, core
+from twolevel import cli, core, sk
 from twolevel.diagonal import PhaseProgram
 from twolevel.givens import Factorization
 
@@ -335,3 +335,28 @@ def test_config_file_numeric_defaults(tmp_path, capsys):
     net_file = next((tmp_path / "cache").glob("net_*.npz"))
     with np.load(net_file) as z:
         assert int(z["max_word_length"][0]) == 4
+
+
+def test_tol_only_on_commands_that_read_it(tmp_path, capsys):
+    f = write_matrix(tmp_path / "m.json", np.eye(2))
+    for args in (["compile", f, "--epsilon", "0.1"], ["strata", "--dim", "4"],
+                 ["verify", f, f]):
+        code, _, err = run_cli(args + ["--tol", "1e-6"], capsys)
+        assert code == 2 and "--tol" in err
+    for args in (["factor", f], ["minlog", f], ["diag", f]):
+        code, _, _ = run_cli(args + ["--tol", "1e-6"], capsys)
+        assert code == 0
+
+
+def test_net_cache_is_keyed_on_dedup_tol(tmp_path, capsys, monkeypatch):
+    f = write_matrix(tmp_path / "m.json", haar_unitary(2, np.random.default_rng(12)))
+    args = ["compile", f, "--epsilon", "0.5", "--net-max-len", "4"]
+    cache = tmp_path / "cache"
+    assert run_cli(args, capsys)[0] == 0
+    first = set(cache.glob("net_*.npz"))
+    monkeypatch.setattr(sk, "DEDUP_TOL", 1e-7)
+    built, build_net = [], sk.build_net
+    monkeypatch.setattr(sk, "build_net", lambda *a: built.append(a) or build_net(*a))
+    assert run_cli(args, capsys)[0] == 0
+    assert len(built) == 1
+    assert len(set(cache.glob("net_*.npz")) - first) == 1

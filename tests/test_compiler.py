@@ -11,7 +11,7 @@ from twolevel.compiler import (
 )
 from twolevel.embeddings import embed_coordinate
 from twolevel.errors import AccuracyNotReached, InvalidInput
-from twolevel.sk import GateWord, build_net, evaluate_word, sk_approximate
+from twolevel.sk import GateWord, build_net, evaluate_word, sk_approximate_with_error
 
 from util import haar_su2, haar_unitary, su_normalize
 
@@ -161,7 +161,7 @@ def test_lift_word_error_preservation(gate_set, net8):
     rng = np.random.default_rng(7)
     for _ in range(10):
         v = haar_su2(rng)
-        w = sk_approximate(v, 0.3, net8, depth=2)
+        w, _ = sk_approximate_with_error(v, 0.3, net8, depth=2)
         lifted = lift_word(w, 2, 5)
         lhs = core.operator_norm(
             embed_coordinate(2, 5, v, 6) - compiler.evaluate_lifted(lifted, gate_set, 6)

@@ -1,0 +1,58 @@
+"""Property tests of the Givens factorization and the SU(2) block specialization.
+
+Inputs are unitaries of dims 1..8 of four kinds: Haar-random, phased
+permutations, diagonals and the identity.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twolevel.compiler import _specialize_blocks
+from twolevel.core import operator_norm
+from twolevel.embeddings import embed_coordinate
+from twolevel.givens import factor, reconstruct
+from twolevel.su2 import det2
+
+from util import haar_unitary
+
+
+def _unitary(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    if kind == "haar":
+        return haar_unitary(n, rng)
+    if kind == "permutation":
+        return np.eye(n)[rng.permutation(n)] * phases[None, :]
+    if kind == "diagonal":
+        return np.diag(phases)
+    return np.eye(n, dtype=complex)
+
+
+unitaries = st.builds(
+    _unitary,
+    st.sampled_from(("haar", "permutation", "diagonal", "identity")),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unitaries)
+def test_factor_reconstruct_round_trip(u):
+    n = u.shape[0]
+    fact = factor(u)
+    assert len(fact.factors) <= n * (n - 1) // 2
+    assert operator_norm(reconstruct(fact) - u) <= 1e-12 * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(unitaries)
+def test_specialized_blocks_are_special_and_reconstruct(u):
+    n = u.shape[0]
+    blocks, diag = _specialize_blocks(factor(u))
+    m = np.eye(n, dtype=complex)
+    for p, q, s in blocks:
+        assert abs(det2(s) - 1.0) <= 1e-12
+        m = m @ embed_coordinate(p, q, s, n)
+    assert operator_norm(m @ np.diag(diag) - u) <= 1e-12 * n

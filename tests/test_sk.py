@@ -1,23 +1,14 @@
 import numpy as np
 import pytest
 
-from twolevel import core, su2
-from twolevel.errors import (
-    AccuracyNotReached,
-    InvalidInput,
-    NetTooLarge,
-    OutOfRegime,
-    UnknownLetter,
-)
+from twolevel import config, core, sk, su2
+from twolevel.errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
 from twolevel.sk import (
     BasicNet,
     GateSet,
     GateWord,
-    base_approx,
     build_net,
     evaluate_word,
-    group_commutator_decompose,
-    sk_approximate,
     sk_approximate_with_error,
 )
 
@@ -47,12 +38,11 @@ def test_gate_set_validation():
         GateSet(labels=(), matrices=())
 
 
-def test_gate_set_inverse_closed_flag(ht_set):
-    assert not ht_set.inverse_closed
-    sym = GateSet.from_letters(
-        [("h", h_like()), ("hi", h_like().conj().T)]
-    )
-    assert sym.inverse_closed
+def test_gate_set_compares_by_identity(ht_set):
+    assert ht_set == ht_set
+    a, b = config.default_gate_set(), config.default_gate_set()
+    assert (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
 
 
 def test_gate_set_json_round_trip(ht_set):
@@ -99,7 +89,7 @@ def test_build_net_single_involution():
     net = build_net(gs, 2)
     # Words: "", h, h^-1 = -h, hh = -I (and its duplicate): 4 distinct entries.
     assert len(net) <= 5
-    mats = [m for _, m in net.entries()]
+    mats = net.mats
     assert any(np.abs(m - np.eye(2)).max() < 1e-12 for m in mats)
     assert any(np.abs(m + np.eye(2)).max() < 1e-12 for m in mats)
 
@@ -112,8 +102,8 @@ def test_build_net_zero_length(ht_set):
 
 def test_net_entries_match_word_evaluation(ht_set):
     net = build_net(ht_set, 5)
-    for word, mat in net.entries():
-        assert np.abs(evaluate_word(word, ht_set) - mat).max() <= 1e-12
+    for i, mat in enumerate(net.mats):
+        assert np.abs(evaluate_word(net.word_at(i), ht_set) - mat).max() <= 1e-12
 
 
 def test_net_inverse_closure(gate_set):
@@ -146,31 +136,31 @@ def test_net_save_load_round_trip(tmp_path, ht_set):
     assert back.nearest(v) == net.nearest(v)
 
 
-def test_base_approx_exact_hit(ht_set):
+def test_nearest_word_exact_hit(ht_set):
     net = build_net(ht_set, 4)
     word = net.word_at(17 % len(net))
     target = evaluate_word(word, ht_set)
-    got = base_approx(target, net)
+    got = net.word_at(net.nearest(target)[0])
     assert su2.su2_distance(evaluate_word(got, ht_set), target) <= 1e-14
 
 
-def test_base_approx_identity_is_empty_word(ht_set):
+def test_nearest_word_of_identity_is_empty_word(ht_set):
     net = build_net(ht_set, 4)
-    assert base_approx(np.eye(2), net) == GateWord()
+    assert net.word_at(net.nearest(np.eye(2))[0]) == GateWord()
 
 
-def test_base_approx_matches_exhaustive_scan(ht_set):
+def test_nearest_matches_exhaustive_scan(ht_set):
     net = build_net(ht_set, 4)
     rng = np.random.default_rng(1)
     for _ in range(25):
         v = haar_su2(rng)
         _, dist = net.nearest(v)
-        brute = min(core.operator_norm(m - v) for _, m in net.entries())
+        brute = min(core.operator_norm(m - v) for m in net.mats)
         assert abs(dist - brute) <= 1e-12
 
 
 def test_group_commutator_identity():
-    a, b = group_commutator_decompose(np.eye(2))
+    a, b = sk._balanced_pair(np.eye(2))
     assert np.array_equal(a, np.eye(2))
     assert np.array_equal(b, np.eye(2))
 
@@ -178,7 +168,7 @@ def test_group_commutator_identity():
 def test_group_commutator_small_rotation():
     theta = 0.1
     delta = su2.rot_z(theta)
-    a, b = group_commutator_decompose(delta)
+    a, b = sk._balanced_pair(delta)
     comm = a @ b @ a.conj().T @ b.conj().T
     assert core.operator_norm(comm - delta) <= 1e-9
     bound = 2.0 * np.sqrt(theta / 2.0)
@@ -195,28 +185,39 @@ def test_group_commutator_generic_axes():
         axis = rng.standard_normal(3)
         theta = rng.uniform(0.0, np.pi / 2)
         delta = su2.rotation(axis, theta)
-        a, b = group_commutator_decompose(delta)
+        a, b = sk._balanced_pair(delta)
         comm = a @ b @ a.conj().T @ b.conj().T
         assert core.operator_norm(comm - delta) <= 1e-9
 
 
-def test_group_commutator_out_of_regime():
-    with pytest.raises(OutOfRegime):
-        group_commutator_decompose(su2.rot_z(2.0))
+def test_group_commutator_out_of_regime(ht_set, monkeypatch):
+    # A residual rotating by more than pi/2 gets no commutator step: each
+    # level keeps the previous word, here the empty word of a length-0 net.
+    calls = []
+    balanced_pair = sk._balanced_pair
+    monkeypatch.setattr(sk, "_balanced_pair", lambda d: calls.append(d) or balanced_pair(d))
+    net = build_net(ht_set, 0)
+    with pytest.raises(AccuracyNotReached) as exc_info:
+        sk_approximate_with_error(su2.rot_z(3.0), 0.5, net, depth=3)
+    assert exc_info.value.word == GateWord()
+    assert calls == []
+    with pytest.raises(AccuracyNotReached):
+        sk_approximate_with_error(su2.rot_z(1.5), 0.5, net, depth=1)
+    assert len(calls) == 1
 
 
 def test_group_commutator_degenerate_axes():
     # Targets along the construction's own x/y axes and the antipodal branch.
     for axis in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -1)):
         delta = su2.rotation(axis, 0.3)
-        a, b = group_commutator_decompose(delta)
+        a, b = sk._balanced_pair(delta)
         comm = a @ b @ a.conj().T @ b.conj().T
         assert core.operator_norm(comm - delta) <= 1e-9
 
 
 def test_group_commutator_near_identity():
     delta = su2.rot_y(1e-9)
-    a, b = group_commutator_decompose(delta)
+    a, b = sk._balanced_pair(delta)
     comm = a @ b @ a.conj().T @ b.conj().T
     assert core.operator_norm(comm - delta) <= 1e-9
 
@@ -242,8 +243,8 @@ def test_sk_large_eps_uses_base_case(net8):
     radius = net8.covering_radius(samples=100, seed=7)
     for _ in range(10):
         v = haar_su2(rng)
-        w = sk_approximate(v, min(0.9, radius * 2), net8, depth=5)
-        assert w == base_approx(v, net8)
+        w, _ = sk_approximate_with_error(v, min(0.9, radius * 2), net8, depth=5)
+        assert w == net8.word_at(net8.nearest(v)[0])
 
 
 def test_sk_ht_example(ht_set):
@@ -268,7 +269,7 @@ def test_sk_accuracy_not_reached_reports_achieved(ht_set):
     rng = np.random.default_rng(5)
     v = haar_su2(rng)
     with pytest.raises(AccuracyNotReached) as exc_info:
-        sk_approximate(v, 1e-4, net, depth=1)
+        sk_approximate_with_error(v, 1e-4, net, depth=1)
     exc = exc_info.value
     assert exc.achieved is not None and exc.word is not None
     recomputed = su2.su2_distance(v, evaluate_word(exc.word, ht_set))
@@ -307,9 +308,9 @@ def test_sk_inverse_symmetry(net8, gate_set):
 
 def test_sk_rejects_bad_eps(net8):
     with pytest.raises(InvalidInput):
-        sk_approximate(np.eye(2), 0.0, net8)
+        sk_approximate_with_error(np.eye(2), 0.0, net8)
     with pytest.raises(InvalidInput):
-        sk_approximate(np.eye(2), 1.5, net8)
+        sk_approximate_with_error(np.eye(2), 1.5, net8)
 
 
 def test_sk_non_dense_alphabet_fails_gracefully():
@@ -319,5 +320,5 @@ def test_sk_non_dense_alphabet_fails_gracefully():
     net = build_net(gs, 8)
     target = su2.rot_x(1.0)
     with pytest.raises(AccuracyNotReached) as exc_info:
-        sk_approximate(target, 0.05, net, depth=4)
+        sk_approximate_with_error(target, 0.05, net, depth=4)
     assert exc_info.value.achieved > 0.05
