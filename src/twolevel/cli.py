@@ -170,14 +170,10 @@ def cmd_strata(args) -> None:
 
 def cmd_minlog(args) -> None:
     v = _load_matrix(args.matrix)
-    if v.shape != (2, 2):
-        _fail(EXIT_PARSE, f"minlog expects a 2x2 matrix, got {v.shape}")
     try:
-        core.assert_unitary(v, tol=args.tol)
+        res = (su2.minlog_su2 if args.special else su2.minlog_u2)(v, args.tol)
     except NotUnitary as exc:
         _fail(EXIT_NOT_UNITARY, str(exc))
-    try:
-        res = su2.minlog_su2(v) if args.special else su2.minlog_u2(v)
     except NotSpecial as exc:
         _fail(EXIT_NOT_SPECIAL, str(exc))
     energy = 0.5 * res.hs_norm**2

@@ -1,15 +1,15 @@
 """Dense complex matrix primitives shared by every other module.
 
 Matrices are plain ``numpy`` arrays (``complex128``).  Everything here is
-desk scale (dim <= 64, dense): the operator norm goes through a full SVD,
-and unitary diagonalization goes through the complex Schur form, which is
-numerically clean for normal matrices.
+desk scale (dim <= 64, dense): the operator norm goes through a full SVD.
+``mat_log_principal`` diagonalizes through the complex Schur form, which is
+numerically clean for normal matrices; it is the only user of ``scipy``,
+imported on its first call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimMismatch, InvalidInput, NotUnitary, NumericalFailure
 
@@ -119,6 +119,8 @@ def mat_log_principal(u, tol: float | None = None) -> np.ndarray:
     off = u - np.diag(np.diag(u))
     if not off.any():
         return np.diag(1.0j * np.angle(np.diag(u)))
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(u, output="complex")
     theta = np.angle(np.diag(t))
     x = (q * (1.0j * theta)) @ q.conj().T

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import as_matrix, assert_unitary, matrix_from_json, matrix_to_json
 from .errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
-from .su2 import SU2_DET_TOL, bloch_components, det2, eigen_angle, rotation, su2_distance
+from .su2 import SU2_DET_TOL, bloch_components, det2, eigen_angle, from_bloch, rotation, su2_distance
 
 #: Net entries closer than this (operator norm) are merged, keeping the shorter word.
 DEDUP_TOL = 1e-6
@@ -285,11 +285,7 @@ class BasicNet:
         for _ in range(samples):
             q = rng.standard_normal(4)
             q /= np.linalg.norm(q)
-            v = np.array(
-                [[q[0] - 1.0j * q[3], -q[2] - 1.0j * q[1]],
-                 [q[2] - 1.0j * q[1], q[0] + 1.0j * q[3]]]
-            )
-            worst = max(worst, self.nearest(v)[1])
+            worst = max(worst, self.nearest(from_bloch(q[0], q[1:]))[1])
         return worst
 
     #: Version of what ``build_net`` enumerates and of the npz layout ``save``

@@ -2,8 +2,9 @@
 
 The minimal Hilbert-Schmidt logarithm of an SU(2) element with eigenvalues
 e^{+-i alpha}, alpha in [0, pi], has norm alpha; it is unique except at the
-cut locus alpha = pi.  Geodesic energy is (1/2) * norm^2 in the pairing
-<X, Y> = (1/2) Re Tr(X^dag Y).
+cut locus alpha = pi.  Both logs are closed forms in the Bloch decomposition
+V = e^{i theta} (a I - i vec . sigma).  Geodesic energy is (1/2) * norm^2 in
+the pairing <X, Y> = (1/2) Re Tr(X^dag Y).
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import as_matrix, assert_unitary, operator_norm
+from .core import PAULI, as_matrix, assert_unitary, operator_norm
+from .diagonal import principal_angle
 from .errors import InvalidInput, NotSpecial
 
 #: Determinant slack accepted for SU(2) membership (gate-set letters, --special).
@@ -21,12 +22,6 @@ SU2_DET_TOL = 1e-8
 
 #: Minimal logs stop being unique within this distance of the cut locus.
 CUT_LOCUS_TOL = 1e-9
-
-_SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-)
 
 
 @dataclass
@@ -38,22 +33,16 @@ class MinLogResult:
     unique: bool
 
 
-def _as_2x2_unitary(v, what: str = "matrix") -> np.ndarray:
+def _as_2x2_unitary(v, tol: float | None = None) -> np.ndarray:
     v = as_matrix(v)
     if v.shape != (2, 2):
-        raise InvalidInput(f"{what} must be 2x2, got {v.shape}")
-    return assert_unitary(v, what=what)
+        raise InvalidInput(f"matrix must be 2x2, got {v.shape}")
+    return assert_unitary(v, tol)
 
 
 def det2(v: np.ndarray) -> complex:
     """Determinant of a 2x2 matrix."""
     return v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-
-
-def _check_special(v: np.ndarray, what: str = "matrix") -> None:
-    det = det2(v)
-    if abs(det - 1.0) > SU2_DET_TOL:
-        raise NotSpecial(f"{what} has det {det:.6g}, not 1")
 
 
 def rotation(axis, theta: float) -> np.ndarray:
@@ -62,9 +51,7 @@ def rotation(axis, theta: float) -> np.ndarray:
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise InvalidInput("rotation axis must be nonzero")
-    n = n / norm
-    ns = n[0] * _SIGMA[0] + n[1] * _SIGMA[1] + n[2] * _SIGMA[2]
-    return np.cos(theta / 2.0) * np.eye(2) - 1.0j * np.sin(theta / 2.0) * ns
+    return from_bloch(np.cos(theta / 2.0), np.sin(theta / 2.0) * (n / norm))
 
 
 def rot_x(theta: float) -> np.ndarray:
@@ -96,52 +83,58 @@ def bloch_components(v) -> tuple[float, np.ndarray]:
     return a, np.array([x, y, z])
 
 
-def split_phase_u2(v) -> tuple[float, np.ndarray]:
+def from_bloch(a: float, vec) -> np.ndarray:
+    """Inverse of ``bloch_components``: the matrix a I - i (vec . sigma)."""
+    x, y, z = vec
+    return a * np.eye(2) - 1.0j * (x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
+
+
+def axis_angle(s) -> tuple[float, np.ndarray]:
+    """S = cos(alpha) I - i sin(alpha) (n . sigma) in SU(2): returns (alpha, n), alpha in [0, pi].
+
+    At S = +-I the axis is arbitrary and (0, 0, 1) is returned.
+    """
+    a, vec = bloch_components(s)
+    r = float(np.linalg.norm(vec))
+    n = vec / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
+    return float(np.arctan2(r, a)), n
+
+
+def split_phase_u2(v, tol: float | None = None) -> tuple[float, np.ndarray]:
     """Split V in U(2) as e^{i theta} S with S in SU(2).
 
     e^{i theta} is the principal square root of det(V): theta is half the
     principal argument, so theta lies in (-pi/2, pi/2].
     """
-    v = _as_2x2_unitary(v)
+    v = _as_2x2_unitary(v, tol)
     theta = 0.5 * float(np.angle(det2(v)))
     s = np.exp(-1.0j * theta) * v
     return theta, s
 
 
-def _schur_angles(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary eigenbasis and principal eigen-angles of a 2x2 unitary."""
-    t, q = scipy.linalg.schur(v, output="complex")
-    return np.angle(np.diag(t)), q
-
-
-def minlog_su2(v) -> MinLogResult:
+def minlog_su2(v, tol: float | None = None) -> MinLogResult:
     """Minimal-norm X in su(2) with exp(X) = V; norm equals the eigen-angle.
 
     The result is flagged non-unique exactly at the cut locus (alpha = pi,
     within CUT_LOCUS_TOL), where every traceless direction of norm pi works.
     """
-    v = _as_2x2_unitary(v)
-    _check_special(v)
-    theta, q = _schur_angles(v)
-    alpha = 0.5 * (abs(theta[0]) + abs(theta[1]))
-    # Order the eigenbasis so the first column carries the +alpha angle.
-    if theta[1] > theta[0]:
-        q = q[:, ::-1]
-    x = (q * np.array([1.0j * alpha, -1.0j * alpha])) @ q.conj().T
-    x = 0.5 * (x - x.conj().T)
+    v = _as_2x2_unitary(v, tol)
+    if abs(det2(v) - 1.0) > SU2_DET_TOL:
+        raise NotSpecial(f"matrix has det {det2(v):.6g}, not 1")
+    alpha, n = axis_angle(v)
     return MinLogResult(
-        generator=x, hs_norm=float(alpha), unique=bool(abs(alpha - np.pi) >= CUT_LOCUS_TOL)
+        generator=from_bloch(0.0, alpha * n), hs_norm=alpha, unique=np.pi - alpha >= CUT_LOCUS_TOL
     )
 
 
-def minlog_u2(v) -> MinLogResult:
-    """Minimal-norm X in u(2) with exp(X) = V; norm^2 = (theta1^2 + theta2^2) / 2."""
-    v = _as_2x2_unitary(v)
-    theta, q = _schur_angles(v)
-    x = (q * (1.0j * theta)) @ q.conj().T
-    x = 0.5 * (x - x.conj().T)
-    norm = float(np.sqrt(0.5 * (theta[0] ** 2 + theta[1] ** 2)))
-    unique = bool(np.all(np.abs(theta - np.pi) >= CUT_LOCUS_TOL))
+def minlog_u2(v, tol: float | None = None) -> MinLogResult:
+    """Minimal-norm X in u(2) with exp(X) = V; norm^2 = (t0^2 + t1^2) / 2."""
+    theta, s = split_phase_u2(v, tol)
+    alpha, n = axis_angle(s)
+    t0, t1 = principal_angle([theta + alpha, theta - alpha])
+    x = 0.5j * (t0 + t1) * np.eye(2) + from_bloch(0.0, 0.5 * (t0 - t1) * n)
+    norm = float(np.sqrt(0.5 * (t0**2 + t1**2)))
+    unique = bool(np.pi - max(abs(t0), abs(t1)) >= CUT_LOCUS_TOL)
     return MinLogResult(generator=x, hs_norm=norm, unique=unique)
 
 

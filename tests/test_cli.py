@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twolevel
 from twolevel import cli, core, sk
 from twolevel.diagonal import PhaseProgram
 from twolevel.givens import Factorization
@@ -253,6 +258,14 @@ def test_minlog_special_rejects_u2(tmp_path, capsys):
     assert code == 6
 
 
+def test_minlog_tol_reaches_library_check(tmp_path, capsys):
+    # Unitarity defect 2e-8: above the default 2e-10, below 2e-6 under --tol 1e-6.
+    f = write_matrix(tmp_path / "near.json", np.diag([1.0 + 1e-8, 1.0 - 1e-8]))
+    for args in (["minlog", f], ["minlog", f, "--special"]):
+        assert run_cli(args + ["--tol", "1e-6"], capsys)[0] == 0
+        assert run_cli(args, capsys)[0] == 3
+
+
 def test_diag_identity(tmp_path, capsys):
     f = write_matrix(tmp_path / "m.json", np.eye(4))
     code, out, _ = run_cli(["diag", f], capsys)
@@ -360,3 +373,28 @@ def test_net_cache_is_keyed_on_dedup_tol(tmp_path, capsys, monkeypatch):
     assert run_cli(args, capsys)[0] == 0
     assert len(built) == 1
     assert len(set(cache.glob("net_*.npz")) - first) == 1
+
+
+def test_compile_and_minlog_do_not_import_scipy(tmp_path):
+    rng = np.random.default_rng(13)
+    u = write_matrix(tmp_path / "u.json", haar_unitary(3, rng))
+    v = write_matrix(tmp_path / "v.json", haar_unitary(2, rng))
+    script = f"""
+import json
+import sys
+import numpy as np
+from twolevel import cli, core
+assert cli.main(["compile", {u!r}, "--epsilon", "0.5", "--net-max-len", "4"]) == 0
+assert cli.main(["minlog", {v!r}]) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+u = core.matrix_from_json(json.load(open({u!r})))
+x = core.mat_log_principal(u)
+assert np.abs(core.mat_exp(x) - u).max() <= 1e-12
+assert np.abs(np.linalg.eigvalsh(1j * x)).max() <= np.pi
+"""
+    src = str(Path(twolevel.__file__).resolve().parents[1])
+    env = dict(os.environ, TWOLEVEL_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

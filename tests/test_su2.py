@@ -175,3 +175,11 @@ def test_rotation_matches_pauli_exponential():
         lhs = su2.rot_x(theta)
         rhs = core.mat_exp(theta * core.pauli_generator("x"))
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def test_minlog_u2_eigen_angle_minus_pi_is_cut_locus():
+    # e^{-i pi} = -1 - 1.2e-16j has angle -pi: the same cut locus as -1.
+    for v in (np.exp(-1j * np.pi) * np.eye(2), np.diag([np.exp(-1j * np.pi), 1.0])):
+        res = su2.minlog_u2(v)
+        assert not res.unique
+        assert np.abs(core.mat_exp(res.generator) - v).max() <= 1e-12

@@ -1,8 +1,9 @@
-"""Sampling helpers shared across the test suite."""
+"""Sampling helpers and reference implementations shared across the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def haar_unitary(n, rng):
@@ -34,3 +35,22 @@ def su_normalize(u):
     """Remove the determinant phase: det of the result is 1."""
     n = u.shape[0]
     return u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)
+
+
+def schur_minlog(v, special=False):
+    """Reference minimal log of a 2x2 unitary, through its Schur eigenbasis.
+
+    Returns (generator, hs_norm, angles), where ``angles`` are the generator's
+    eigen-angles in the eigenbasis order.  With ``special`` the input must be
+    in SU(2) and the log is the traceless one, with angles (+alpha, -alpha).
+    """
+    t, q = scipy.linalg.schur(np.asarray(v, dtype=complex), output="complex")
+    angles = np.angle(np.diag(t))
+    if special:
+        alpha = 0.5 * (abs(angles[0]) + abs(angles[1]))
+        if angles[1] > angles[0]:
+            q = q[:, ::-1]
+        angles = np.array([alpha, -alpha])
+    x = (q * (1j * angles)) @ q.conj().T
+    x = 0.5 * (x - x.conj().T)
+    return x, float(np.sqrt(0.5 * np.sum(angles**2))), angles
