@@ -28,6 +28,9 @@ DEDUP_TOL = 1e-6
 
 DEFAULT_NET_CAP = 2_000_000
 
+#: Squared distances within this of the minimum are a tie in ``BasicNet.nearest``.
+TIE_TOL = 1e-14
+
 
 @dataclass(frozen=True, eq=False)
 class GateSet:
@@ -250,6 +253,9 @@ class BasicNet:
 
         A probe window seeds the best distance; the final window
         |s_entry - s_target| <= best provably contains the true argmin.
+        Entries whose squared distance is within TIE_TOL of the minimum tie;
+        the shortest word wins, then the least letter sequence, and the
+        distance returned is the winner's own.
         """
         v = np.asarray(v, dtype=np.complex128)
         v8 = v.reshape(4).view(np.float64)
@@ -258,25 +264,25 @@ class BasicNet:
         lo0, hi0 = max(0, pos - 64), min(len(self), pos + 64)
         probe = self._s_order[lo0:hi0]
         d2 = 2.0 - self._flat[probe] @ v8
-        best = float(np.sqrt(max(float(d2.min()), 0.0)))
+        best = float(np.sqrt(max(float(d2.min()), 0.0) + TIE_TOL))
         lo = int(np.searchsorted(self._s_sorted, s_t - best))
         hi = int(np.searchsorted(self._s_sorted, s_t + best, side="right"))
         window = self._s_order[lo:hi]
         if len(window) == 0:
             window = probe
         d2 = 2.0 - self._flat[window] @ v8
-        dmin = float(d2.min())
-        ties = window[d2 <= dmin]
+        ties = np.flatnonzero(d2 <= d2.min() + TIE_TOL)
+        k = int(ties[0])
         if len(ties) > 1:
-            # Shorter word first, then lexicographic letter sequence.
-            def key(i):
-                w = self.word_at(int(i))
+            # Mirror-image words (w and its reversal, for x/y letters) are
+            # equidistant from a mirror-plane target, so rounding must not pick:
+            # shorter word first, then lexicographic letter sequence.
+            def key(k):
+                w = self.word_at(int(window[k]))
                 return (len(w), w.letters)
 
-            idx = int(min(ties, key=key))
-        else:
-            idx = int(ties[0])
-        return idx, float(np.sqrt(max(dmin, 0.0)))
+            k = min(ties.tolist(), key=key)
+        return int(window[k]), float(np.sqrt(max(float(d2[k]), 0.0)))
 
     def covering_radius(self, samples: int = 200, seed: int = 0) -> float:
         """Sampled estimate of the worst base-approximation distance."""

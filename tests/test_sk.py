@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevel import config, core, sk, su2
 from twolevel.errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
@@ -322,3 +324,20 @@ def test_sk_non_dense_alphabet_fails_gracefully():
     with pytest.raises(AccuracyNotReached) as exc_info:
         sk_approximate_with_error(target, 0.05, net, depth=4)
     assert exc_info.value.achieved > 0.05
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+def test_nearest_ties_are_canonical_on_mirror_plane(net12, theta, phi):
+    # With x/y letters, reversing a word negates its quaternion's z, so a
+    # target with z = 0 is equidistant from w and reverse(w): the pick must
+    # not depend on rounding, nor on a z far below the tie tolerance.
+    a, x, y = np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
+    picks = {net12.nearest(su2.from_bloch(a, (x, y, z)))[0] for z in (0.0, 1e-18, -1e-18)}
+    assert len(picks) == 1
+    v8 = su2.from_bloch(a, (x, y, 0.0)).reshape(4).view(np.float64)
+    d2 = 2.0 - net12._flat @ v8
+    ties = np.flatnonzero(d2 <= d2.min() + sk.TIE_TOL)
+    words = [net12.word_at(int(i)) for i in ties]
+    best = min(words, key=lambda w: (len(w), w.letters))
+    assert net12.word_at(picks.pop()) == best
