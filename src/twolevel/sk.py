@@ -1,27 +1,32 @@
 """Finite-alphabet approximation of SU(2): epsilon nets and Solovay-Kitaev.
 
+Every SU(2) value of this layer is a unit quaternion q = (a, x, y, z) for
+a I - i (x, y, z) . sigma (``su2.quat``); products are Hamilton products.
 The net enumerates all words up to a length bound over the letters and
 their inverses (with immediate back-tracking pruned), deduplicates by
 proximity, and supports exact nearest-neighbor lookup in the operator
 norm.  Lookup exploits that for U, V in SU(2)
 
-    ||U - V|| = sqrt(2 - Re Tr(U^dag V)),
+    ||U - V|| = |q_U - q_V| = sqrt(2 - 2 q_U . q_V),
 
-so distance-to-identity values ("s") give a one-dimensional lower bound
-|s_U - s_V| <= ||U - V|| used to prune the scan window.  Nets are
-immutable after construction and safe to share across threads.
+so distance-to-identity values s = sqrt(2 - 2a) give a one-dimensional
+lower bound |s_U - s_V| <= ||U - V|| used to prune the scan window.
+Matrices appear only where a word meets the gate set, so each reported
+error is re-checked from the word alone.  Nets are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_matrix, assert_unitary, matrix_from_json, matrix_to_json
 from .errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
-from .su2 import SU2_DET_TOL, bloch_components, det2, eigen_angle, from_bloch, rotation, su2_distance
+from .su2 import SU2_DET_TOL, det2, quat, su2_distance
 
 #: Net entries closer than this (operator norm) are merged, keeping the shorter word.
 DEDUP_TOL = 1e-6
@@ -201,41 +206,57 @@ def evaluate_word(word: GateWord, gate_set: GateSet) -> np.ndarray:
     return chain_product(letter_table(gate_set)[word.codes_for(gate_set)])
 
 
-def _s_values(mats: np.ndarray) -> np.ndarray:
-    """Operator-norm distance to the identity, sqrt(2 - Re Tr), of a 2x2 matrix or a stack."""
-    tr = np.real(mats[..., 0, 0] + mats[..., 1, 1])
-    return np.sqrt(np.clip(2.0 - tr, 0.0, 4.0))
+def _s_values(quats: np.ndarray) -> np.ndarray:
+    """Operator-norm distance to the identity, sqrt(2 - 2a), of a quaternion or a stack."""
+    return np.sqrt(np.clip(2.0 - 2.0 * quats[..., 0], 0.0, 4.0))
 
 
-def _su2_dist_formula(v: np.ndarray, w: np.ndarray) -> float:
-    tr = float(np.real(np.vdot(v, w)))
-    return float(np.sqrt(max(2.0 - tr, 0.0)))
+def _qmul(p, q):
+    """Hamilton product p q: the quaternion of the matrix product.
+
+    Works on 4-tuples of floats and on component-first arrays alike.
+    """
+    a1, x1, y1, z1 = p
+    a2, x2, y2, z2 = q
+    return (
+        a1 * a2 - x1 * x2 - y1 * y2 - z1 * z2,
+        a1 * x2 + x1 * a2 + y1 * z2 - z1 * y2,
+        a1 * y2 - x1 * z2 + y1 * a2 + z1 * x2,
+        a1 * z2 + x1 * y2 - y1 * x2 + z1 * a2,
+    )
+
+
+def _qconj(q):
+    """Conjugate quaternion: the inverse, or the matrix dagger."""
+    a, x, y, z = q
+    return (a, -x, -y, -z)
 
 
 class BasicNet:
-    """Immutable enumeration of short words with their evaluated matrices.
+    """Immutable enumeration of short words with the quaternions of their products.
 
     Words are stored as parent-pointer chains: entry i extends entry
     ``parent[i]`` by the extended letter ``code[i]`` (2 * letter_index + inv).
     Entry 0 is the empty word.
     """
 
-    def __init__(self, gate_set: GateSet, max_word_length: int, mats, parent, code, length):
+    #: Version of what ``build_net`` enumerates and of the npz layout ``save``
+    #: writes; net caches are keyed on it and ``load`` checks it.  Bump it
+    #: when either changes.
+    NET_FORMAT = 2
+
+    def __init__(self, gate_set: GateSet, max_word_length: int, quats, parent, code):
         self.gate_set = gate_set
         self.max_word_length = int(max_word_length)
-        self.mats = np.ascontiguousarray(mats, dtype=np.complex128)
+        self.quats = np.ascontiguousarray(quats, dtype=np.float64)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.code = np.asarray(code, dtype=np.int16)
-        self.length = np.asarray(length, dtype=np.int32)
-        # Flat real view: row i is (re, im) interleaved, so that
-        # row . row' == Re Tr(A^dag B) for the corresponding matrices.
-        self._flat = self.mats.reshape(len(self.mats), 4).view(np.float64)
-        s = _s_values(self.mats)
+        s = _s_values(self.quats)
         self._s_order = np.argsort(s, kind="stable")
         self._s_sorted = s[self._s_order]
 
     def __len__(self) -> int:
-        return len(self.mats)
+        return len(self.quats)
 
     def codes_at(self, i: int) -> np.ndarray:
         """Letter codes of entry i, read back along its parent chain."""
@@ -248,8 +269,8 @@ class BasicNet:
     def word_at(self, i: int) -> GateWord:
         return GateWord.from_codes(self.codes_at(i), self.gate_set.labels)
 
-    def nearest(self, v: np.ndarray) -> tuple[int, float]:
-        """Exact operator-norm nearest entry: (index, distance).
+    def nearest(self, t) -> tuple[int, float]:
+        """Exact operator-norm nearest entry to the quaternion ``t``: (index, distance).
 
         A probe window seeds the best distance; the final window
         |s_entry - s_target| <= best provably contains the true argmin.
@@ -257,76 +278,70 @@ class BasicNet:
         the shortest word wins, then the least letter sequence, and the
         distance returned is the winner's own.
         """
-        v = np.asarray(v, dtype=np.complex128)
-        v8 = v.reshape(4).view(np.float64)
-        s_t = float(_s_values(v))
+        t = np.asarray(t)
+        if t.shape != (4,) or np.iscomplexobj(t):
+            raise InvalidInput(f"nearest takes a real quaternion (su2.quat), got {t.dtype} {t.shape}")
+        s_t = float(_s_values(t))
         pos = int(np.searchsorted(self._s_sorted, s_t))
         lo0, hi0 = max(0, pos - 64), min(len(self), pos + 64)
         probe = self._s_order[lo0:hi0]
-        d2 = 2.0 - self._flat[probe] @ v8
+        d2 = 2.0 - 2.0 * (self.quats[probe] @ t)
         best = float(np.sqrt(max(float(d2.min()), 0.0) + TIE_TOL))
         lo = int(np.searchsorted(self._s_sorted, s_t - best))
         hi = int(np.searchsorted(self._s_sorted, s_t + best, side="right"))
         window = self._s_order[lo:hi]
         if len(window) == 0:
             window = probe
-        d2 = 2.0 - self._flat[window] @ v8
+        d2 = 2.0 - 2.0 * (self.quats[window] @ t)
         ties = np.flatnonzero(d2 <= d2.min() + TIE_TOL)
         k = int(ties[0])
         if len(ties) > 1:
             # Mirror-image words (w and its reversal, for x/y letters) are
-            # equidistant from a mirror-plane target, so rounding must not pick:
-            # shorter word first, then lexicographic letter sequence.
-            def key(k):
-                w = self.word_at(int(window[k]))
-                return (len(w), w.letters)
-
-            k = min(ties.tolist(), key=key)
+            # equidistant from a mirror-plane target, so rounding must not pick.
+            words = {j: self.word_at(int(window[j])) for j in ties.tolist()}
+            k = min(words, key=lambda j: (len(words[j]), words[j].letters))
         return int(window[k]), float(np.sqrt(max(float(d2[k]), 0.0)))
 
     def covering_radius(self, samples: int = 200, seed: int = 0) -> float:
         """Sampled estimate of the worst base-approximation distance."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            worst = max(worst, self.nearest(from_bloch(q[0], q[1:]))[1])
-        return worst
-
-    #: Version of what ``build_net`` enumerates and of the npz layout ``save``
-    #: writes; net caches are keyed on it.  Bump it when either changes.
-    NET_FORMAT = 1
+        qs = np.random.default_rng(seed).standard_normal((samples, 4))
+        return max((self.nearest(q / np.linalg.norm(q))[1] for q in qs), default=0.0)
 
     def save(self, path) -> None:
         np.savez(
             path,
-            mats=self.mats,
+            net_format=np.array([self.NET_FORMAT]),
+            quats=self.quats,
             parent=self.parent,
             code=self.code,
-            length=self.length,
             max_word_length=np.array([self.max_word_length]),
             gate_set=np.array([json.dumps(self.gate_set.to_json(), sort_keys=True)]),
         )
 
     @classmethod
     def load(cls, path) -> "BasicNet":
+        """Read a net ``save`` wrote.
+
+        Raises InvalidInput if its NET_FORMAT differs or is missing, if a parent
+        pointer does not point back, or if one of 16 sampled entries is not its word's.
+        """
         with np.load(path, allow_pickle=False) as z:
+            if "net_format" not in z.files or int(z["net_format"][0]) != cls.NET_FORMAT:
+                raise InvalidInput(f"{path} is not a net file of format {cls.NET_FORMAT}")
             gs = GateSet.from_json(json.loads(str(z["gate_set"][0])))
-            return cls(
-                gs,
-                int(z["max_word_length"][0]),
-                z["mats"],
-                z["parent"],
-                z["code"],
-                z["length"],
-            )
+            net = cls(gs, int(z["max_word_length"][0]), z["quats"], z["parent"], z["code"])
+        if not np.all((net.parent[1:] >= 0) & (net.parent[1:] < np.arange(1, len(net)))):
+            raise InvalidInput(f"{path}: parent pointers do not point to earlier entries")
+        table = letter_table(gs)  # net codes index the gate set's own letter order
+        for i in np.linspace(0, len(net) - 1, 16).astype(int).tolist():
+            if np.abs(quat(chain_product(table[net.codes_at(i)])) - net.quats[i]).max() > 1e-12:
+                raise InvalidInput(f"{path}: entry {i} does not match its word")
+        return net
 
 
-def _round_keys(mats: np.ndarray) -> np.ndarray:
+def _round_keys(quats: np.ndarray) -> np.ndarray:
     """Quantized byte keys for exact-collision dedup at DEDUP_TOL resolution."""
-    flat = mats.reshape(len(mats), 4).view(np.float64)
-    q = np.ascontiguousarray(np.round(flat / DEDUP_TOL).astype(np.int64))
+    q = np.ascontiguousarray(np.round(quats / DEDUP_TOL).astype(np.int64))
     return q.view(np.dtype((np.void, q.dtype.itemsize * q.shape[1]))).reshape(-1)
 
 
@@ -341,28 +356,26 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
     """
     if max_len < 0:
         raise InvalidInput("max_len must be >= 0")
-    n_letters = len(gate_set.labels)
-    ext = letter_table(gate_set)
+    n_ext = 2 * len(gate_set.labels)
+    ext = quat(letter_table(gate_set)).T[:, None, :]
 
-    mats = [np.eye(2, dtype=np.complex128)[None, :, :]]
+    quats = [np.array([[1.0, 0.0, 0.0, 0.0]])]
     parent = [np.array([-1], dtype=np.int64)]
     code = [np.array([-1], dtype=np.int16)]
-    length = [np.array([0], dtype=np.int32)]
-    keys = [_round_keys(mats[0])]
+    keys = [_round_keys(quats[0])]
     total = 1
 
     frontier = np.array([0], dtype=np.int64)
     for level in range(1, max_len + 1):
         if len(frontier) == 0:
             break
-        prev_mats = np.concatenate(mats)[frontier]
+        prev = np.concatenate(quats)[frontier]
         prev_codes = np.concatenate(code)[frontier]
         # Parent-major extension keeps enumeration in prefix order.
-        cand = np.einsum("mij,ejk->meik", prev_mats, ext)
-        cand = cand.reshape(-1, 2, 2)
-        cand_parent = np.repeat(frontier, 2 * n_letters)
-        cand_code = np.tile(np.arange(2 * n_letters, dtype=np.int16), len(frontier))
-        keep = prev_codes[:, None] != (np.arange(2 * n_letters, dtype=np.int16) ^ 1)[None, :]
+        cand = np.stack(_qmul(prev.T[:, :, None], ext), axis=-1).reshape(-1, 4)
+        cand_parent = np.repeat(frontier, n_ext)
+        cand_code = np.tile(np.arange(n_ext, dtype=np.int16), len(frontier))
+        keep = prev_codes[:, None] != (np.arange(n_ext, dtype=np.int16) ^ 1)[None, :]
         keep = keep.reshape(-1)
         cand, cand_parent, cand_code = cand[keep], cand_parent[keep], cand_code[keep]
 
@@ -378,8 +391,8 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
         )
 
         if len(cand):
-            acc_mats = np.concatenate(mats)
-            acc_s = _s_values(acc_mats)
+            acc = np.concatenate(quats)
+            acc_s = _s_values(acc)
             order = np.argsort(acc_s, kind="stable")
             s_sorted = acc_s[order]
             cand_s = _s_values(cand)
@@ -393,9 +406,7 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
                 pair_c = np.repeat(hit, reps)
                 offs = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
                 pair_a = order[np.repeat(lo[hit], reps) + offs]
-                cf = cand.reshape(len(cand), 4).view(np.float64)
-                af = acc_mats.reshape(len(acc_mats), 4).view(np.float64)
-                d2 = 2.0 - np.einsum("ij,ij->i", cf[pair_c], af[pair_a])
+                d2 = 2.0 - 2.0 * np.einsum("ij,ij->i", cand[pair_c], acc[pair_a])
                 close = d2 < DEDUP_TOL**2
                 if close.any():
                     drop[np.unique(pair_c[close])] = True
@@ -411,71 +422,58 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
             )
         start = total
         total += len(cand)
-        mats.append(cand)
+        quats.append(cand)
         parent.append(cand_parent)
         code.append(cand_code)
-        length.append(np.full(len(cand), level, dtype=np.int32))
         keys.append(cand_keys)
         frontier = np.arange(start, total, dtype=np.int64)
 
     return BasicNet(
-        gate_set,
-        max_len,
-        np.concatenate(mats),
-        np.concatenate(parent),
-        np.concatenate(code),
-        np.concatenate(length),
+        gate_set, max_len, np.concatenate(quats), np.concatenate(parent), np.concatenate(code)
     )
 
 
-def _balanced_pair(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced A, B in SU(2) with A B A^-1 B^-1 = delta.
+def _balanced_pair(delta) -> tuple[tuple, tuple]:
+    """Balanced quaternions A, B with A B A^-1 B^-1 = delta.
 
-    Valid in the small-step regime (rotation angle <= pi/2), which the
-    caller enforces; the returned rotations have angle O(sqrt(angle(delta))),
-    axes fixed to the x/y pair conjugated onto the target axis.
+    Valid in the small-step regime (rotation angle <= pi/2), which the caller
+    enforces.  With s = sin(phi/2), c = cos(phi/2), the rotations by phi about
+    x and y, (c, s, 0, 0) and (c, 0, s, 0), have a commutator of half-angle
+    alpha, sin(alpha/2) = s^2, about m = (s, -s, c)/sqrt(1 + s^2).  Both are
+    conjugated onto delta's axis n by h ~ (1 + m.n, m x n), or at n = -m by
+    a half turn about (c, 0, -s), which is perpendicular to m.
     """
-    a, vec = bloch_components(delta)
-    alpha = float(np.arccos(np.clip(a, -1.0, 1.0)))
-    vnorm = float(np.linalg.norm(vec))
-    if alpha < 1e-12 or vnorm < 1e-15:
-        eye = np.eye(2, dtype=np.complex128)
-        return eye.copy(), eye.copy()
-    axis = vec / vnorm
-    phi = 2.0 * float(np.arcsin(np.sqrt(np.clip(np.sin(alpha / 2.0), 0.0, 1.0))))
-    a0 = rotation((1.0, 0.0, 0.0), phi)
-    b0 = rotation((0.0, 1.0, 0.0), phi)
-    w = a0 @ b0 @ a0.conj().T @ b0.conj().T
-    _, wvec = bloch_components(w)
-    wnorm = float(np.linalg.norm(wvec))
-    waxis = wvec / wnorm
-    dot = float(np.clip(np.dot(waxis, axis), -1.0, 1.0))
-    if dot >= 1.0 - 1e-15:
-        s = np.eye(2, dtype=np.complex128)
-    elif dot <= -1.0 + 1e-15:
-        # Opposite axes: rotate by pi about anything perpendicular to the target.
-        perp = np.cross(axis, (1.0, 0.0, 0.0))
-        if np.linalg.norm(perp) < 1e-9:
-            perp = np.cross(axis, (0.0, 1.0, 0.0))
-        s = rotation(perp, np.pi)
+    a, x, y, z = delta
+    r = math.hypot(x, y, z)
+    s = math.sqrt(math.sin(0.5 * math.atan2(r, a)))
+    c = math.sqrt(1.0 - s * s)
+    # h scaled by |M| r, with M = (s, -s, c) and delta's vector (x, y, z); at
+    # delta = I (r = 0, s = 0) the half turn gives the identity pair.
+    k = math.sqrt(1.0 + s * s) * r
+    dot = s * x - s * y + c * z
+    if dot <= (-1.0 + 1e-15) * k:
+        h = (0.0, c, 0.0, -s)
     else:
-        k = np.cross(waxis, axis)
-        s = rotation(k / np.linalg.norm(k), float(np.arccos(dot)))
-    return s @ a0 @ s.conj().T, s @ b0 @ s.conj().T
+        h = (k + dot, -s * z - c * y, c * x - s * z, s * y + s * x)
+        norm = math.hypot(*h)
+        h = tuple(v / norm for v in h)
+    hc = _qconj(h)
+    return _qmul(_qmul(h, (c, s, 0.0, 0.0)), hc), _qmul(_qmul(h, (c, 0.0, s, 0.0)), hc)
 
 
 class _SkSession:
     """One sk_approximate_with_error run: memoized fixed-depth recursion over the net.
 
-    Results are (letter codes, matrix, error); words are assembled by array
-    concatenation, the inverse of a word being ``codes[::-1] ^ 1``.
+    Targets and products are quaternion 4-tuples.  Results are (letter
+    codes, quaternion, error); words are assembled by array concatenation,
+    the inverse of a word being ``codes[::-1] ^ 1``.
     """
 
     def __init__(self, net: BasicNet):
         self.net = net
         self.memo: dict = {}
 
-    def run(self, target: np.ndarray, eps: float, depth: int):
+    def run(self, target: tuple, eps: float, depth: int):
         best = None
         for d in range(depth + 1):
             res = self._go(target, d)
@@ -485,25 +483,26 @@ class _SkSession:
                 break
         return best
 
-    def _go(self, target: np.ndarray, d: int):
-        key = (target.tobytes(), d)
+    def _go(self, target: tuple, d: int):
+        key = (target, d)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         if d == 0:
             idx, err = self.net.nearest(target)
-            res = (self.net.codes_at(idx), self.net.mats[idx], err)
+            res = (self.net.codes_at(idx), tuple(self.net.quats[idx].tolist()), err)
         else:
             prev_w, prev_m, prev_e = self._go(target, d - 1)
-            delta = target @ prev_m.conj().T
-            if 2.0 * eigen_angle(delta) > np.pi / 2.0:
+            delta = _qmul(target, _qconj(prev_m))
+            if 2.0 * math.atan2(math.hypot(*delta[1:]), delta[0]) > math.pi / 2.0:
                 res = (prev_w, prev_m, prev_e)
             else:
                 a, b = _balanced_pair(delta)
                 wa, ma, _ = self._go(a, d - 1)
                 wb, mb, _ = self._go(b, d - 1)
-                m = ma @ mb @ ma.conj().T @ mb.conj().T @ prev_m
-                e = _su2_dist_formula(target, m)
+                m = _qmul(_qmul(_qmul(_qmul(ma, mb), _qconj(ma)), _qconj(mb)), prev_m)
+                dot = target[0] * m[0] + target[1] * m[1] + target[2] * m[2] + target[3] * m[3]
+                e = math.sqrt(max(2.0 - 2.0 * dot, 0.0))
                 if e < prev_e:
                     res = (np.concatenate((wa, wb, wa[::-1] ^ 1, wb[::-1] ^ 1, prev_w)), m, e)
                 else:
@@ -529,7 +528,7 @@ def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = 5):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
     if depth < 0:
         raise InvalidInput("depth must be >= 0")
-    codes, _, _ = _SkSession(net).run(v, eps, depth)
+    codes, _, _ = _SkSession(net).run(tuple(quat(v).tolist()), eps, depth)
     word = GateWord.from_codes(codes, net.gate_set.labels)
     achieved = su2_distance(v, evaluate_word(word, net.gate_set))
     if achieved > eps:

@@ -2,9 +2,12 @@
 
 The minimal Hilbert-Schmidt logarithm of an SU(2) element with eigenvalues
 e^{+-i alpha}, alpha in [0, pi], has norm alpha; it is unique except at the
-cut locus alpha = pi.  Both logs are closed forms in the Bloch decomposition
-V = e^{i theta} (a I - i vec . sigma).  Geodesic energy is (1/2) * norm^2 in
-the pairing <X, Y> = (1/2) Re Tr(X^dag Y).
+cut locus alpha = pi.  Both logs are closed forms in the unit quaternion
+q = (a, x, y, z) of V = e^{i theta} (a I - i (x, y, z) . sigma), which
+``quat`` reads and ``from_quat`` inverts.  The quaternion is also the only
+SU(2) value of the Solovay-Kitaev layer (sk.py): products of SU(2) elements
+are Hamilton products of their quaternions, and ||U - V|| = |q_U - q_V|.
+Geodesic energy is (1/2) * norm^2 in the pairing <X, Y> = (1/2) Re Tr(X^dag Y).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def rotation(axis, theta: float) -> np.ndarray:
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise InvalidInput("rotation axis must be nonzero")
-    return from_bloch(np.cos(theta / 2.0), np.sin(theta / 2.0) * (n / norm))
+    return from_quat((np.cos(theta / 2.0), *(np.sin(theta / 2.0) * (n / norm))))
 
 
 def rot_x(theta: float) -> np.ndarray:
@@ -66,38 +69,29 @@ def rot_z(theta: float) -> np.ndarray:
     return rotation((0.0, 0.0, 1.0), theta)
 
 
-def eigen_angle(v) -> float:
-    """Principal eigen-angle alpha in [0, pi] of an SU(2) element, from the trace."""
+def quat(v) -> np.ndarray:
+    """Quaternion (a, x, y, z) of V = a I - i (x, y, z) . sigma, for a 2x2 matrix or a stack."""
     v = np.asarray(v)
-    c = 0.5 * float(np.real(v[0, 0] + v[1, 1]))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    a, x = np.real(v[..., 0, 0] + v[..., 1, 1]), -np.imag(v[..., 0, 1] + v[..., 1, 0])
+    y, z = np.real(v[..., 1, 0] - v[..., 0, 1]), np.imag(v[..., 1, 1] - v[..., 0, 0])
+    return 0.5 * np.stack((a, x, y, z), axis=-1)
 
 
-def bloch_components(v) -> tuple[float, np.ndarray]:
-    """Decompose V = a I - i (vec . sigma): returns (a, vec) with real entries."""
-    v = np.asarray(v)
-    a = 0.5 * float(np.real(v[0, 0] + v[1, 1]))
-    x = -0.5 * float(np.imag(v[0, 1] + v[1, 0]))
-    y = 0.5 * float(np.real(v[1, 0] - v[0, 1]))
-    z = 0.5 * float(np.imag(v[1, 1] - v[0, 0]))
-    return a, np.array([x, y, z])
-
-
-def from_bloch(a: float, vec) -> np.ndarray:
-    """Inverse of ``bloch_components``: the matrix a I - i (vec . sigma)."""
-    x, y, z = vec
+def from_quat(q) -> np.ndarray:
+    """Inverse of ``quat``: the matrix a I - i (x, y, z) . sigma."""
+    a, x, y, z = q
     return a * np.eye(2) - 1.0j * (x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
 
 
-def axis_angle(s) -> tuple[float, np.ndarray]:
-    """S = cos(alpha) I - i sin(alpha) (n . sigma) in SU(2): returns (alpha, n), alpha in [0, pi].
+def axis_angle(q) -> tuple[float, np.ndarray]:
+    """Quaternion (cos alpha, sin alpha n) of an SU(2) element: returns (alpha, n), alpha in [0, pi].
 
-    At S = +-I the axis is arbitrary and (0, 0, 1) is returned.
+    At q = (+-1, 0, 0, 0) the axis is arbitrary and (0, 0, 1) is returned.
     """
-    a, vec = bloch_components(s)
+    vec = np.asarray(q[1:], dtype=np.float64)
     r = float(np.linalg.norm(vec))
     n = vec / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
-    return float(np.arctan2(r, a)), n
+    return float(np.arctan2(r, q[0])), n
 
 
 def split_phase_u2(v, tol: float | None = None) -> tuple[float, np.ndarray]:
@@ -121,18 +115,18 @@ def minlog_su2(v, tol: float | None = None) -> MinLogResult:
     v = _as_2x2_unitary(v, tol)
     if abs(det2(v) - 1.0) > SU2_DET_TOL:
         raise NotSpecial(f"matrix has det {det2(v):.6g}, not 1")
-    alpha, n = axis_angle(v)
+    alpha, n = axis_angle(quat(v))
     return MinLogResult(
-        generator=from_bloch(0.0, alpha * n), hs_norm=alpha, unique=np.pi - alpha >= CUT_LOCUS_TOL
+        generator=from_quat((0.0, *(alpha * n))), hs_norm=alpha, unique=np.pi - alpha >= CUT_LOCUS_TOL
     )
 
 
 def minlog_u2(v, tol: float | None = None) -> MinLogResult:
     """Minimal-norm X in u(2) with exp(X) = V; norm^2 = (t0^2 + t1^2) / 2."""
     theta, s = split_phase_u2(v, tol)
-    alpha, n = axis_angle(s)
+    alpha, n = axis_angle(quat(s))
     t0, t1 = principal_angle([theta + alpha, theta - alpha])
-    x = 0.5j * (t0 + t1) * np.eye(2) + from_bloch(0.0, 0.5 * (t0 - t1) * n)
+    x = 0.5j * (t0 + t1) * np.eye(2) + from_quat((0.0, *(0.5 * (t0 - t1) * n)))
     norm = float(np.sqrt(0.5 * (t0**2 + t1**2)))
     unique = bool(np.pi - max(abs(t0), abs(t1)) >= CUT_LOCUS_TOL)
     return MinLogResult(generator=x, hs_norm=norm, unique=unique)

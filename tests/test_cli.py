@@ -120,6 +120,30 @@ def test_compile_recovers_from_corrupt_cache(tmp_path, capsys):
     assert json.loads(out)["achieved_error"] <= 0.3
 
 
+def test_compile_rebuilds_a_stale_format_net(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    u = haar_unitary(2, rng)
+    f = write_matrix(tmp_path / "m.json", u)
+    args = ["compile", f, "--epsilon", "0.3", "--net-max-len", "6"]
+    code, first, _ = run_cli(args, capsys)
+    assert code == 0
+    net_file = next((tmp_path / "cache").glob("net_*.npz"))
+    with np.load(net_file) as z:
+        fields = dict(z)
+    mats = np.array([[[a - 1j * zc, -1j * x - y], [-1j * x + y, a + 1j * zc]]
+                     for a, x, y, zc in fields.pop("quats")])
+    del fields["net_format"]
+    with open(net_file, "wb") as fh:  # the npz layout before NET_FORMAT 2
+        np.savez(fh, mats=mats, length=np.zeros(len(mats), dtype=np.int32), **fields)
+    with pytest.raises(twolevel.errors.InvalidInput):
+        sk.BasicNet.load(net_file)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert "warning" in err and "format" in err
+    assert out == first
+    assert len(sk.BasicNet.load(net_file)) > 1
+
+
 def test_compile_big_eps_tiny_net(tmp_path, capsys):
     rng = np.random.default_rng(3)
     u = haar_unitary(2, rng)

@@ -91,7 +91,7 @@ def test_build_net_single_involution():
     net = build_net(gs, 2)
     # Words: "", h, h^-1 = -h, hh = -I (and its duplicate): 4 distinct entries.
     assert len(net) <= 5
-    mats = net.mats
+    mats = [su2.from_quat(q) for q in net.quats]
     assert any(np.abs(m - np.eye(2)).max() < 1e-12 for m in mats)
     assert any(np.abs(m + np.eye(2)).max() < 1e-12 for m in mats)
 
@@ -104,13 +104,13 @@ def test_build_net_zero_length(ht_set):
 
 def test_net_entries_match_word_evaluation(ht_set):
     net = build_net(ht_set, 5)
-    for i, mat in enumerate(net.mats):
+    for i, mat in enumerate(map(su2.from_quat, net.quats)):
         assert np.abs(evaluate_word(net.word_at(i), ht_set) - mat).max() <= 1e-12
 
 
 def test_net_inverse_closure(gate_set):
     net = build_net(gate_set, 5)
-    mats = net.mats
+    mats = np.array([su2.from_quat(q) for q in net.quats])
     for m in mats:
         inv = m.conj().T
         dists = np.abs(mats - inv[None, :, :]).max(axis=(1, 2))
@@ -131,24 +131,61 @@ def test_net_save_load_round_trip(tmp_path, ht_set):
     net.save(path)
     back = BasicNet.load(path)
     assert len(back) == len(net)
-    assert np.array_equal(back.mats, net.mats)
+    assert np.array_equal(back.quats, net.quats)
     assert back.gate_set.labels == net.gate_set.labels
     rng = np.random.default_rng(0)
-    v = haar_su2(rng)
+    v = su2.quat(haar_su2(rng))
     assert back.nearest(v) == net.nearest(v)
+
+
+def test_net_file_carries_its_format(tmp_path, ht_set):
+    net = build_net(ht_set, 4)
+    path = tmp_path / "net.npz"
+    net.save(path)
+    with np.load(path) as z:
+        fields = dict(z)
+    assert int(fields["net_format"][0]) == BasicNet.NET_FORMAT
+
+    def rewritten(**change):
+        out = tmp_path / "changed.npz"
+        np.savez(out, **{k: v for k, v in {**fields, **change}.items() if v is not None})
+        return out
+
+    stale = {"net_format": None, "quats": None,
+             "mats": np.array([su2.from_quat(q) for q in net.quats]),
+             "length": np.array([len(net.word_at(i)) for i in range(len(net))])}
+    for change in (stale, {"net_format": np.array([1])}, {"net_format": None}):
+        with pytest.raises(InvalidInput):
+            BasicNet.load(rewritten(**change))
+    bad = net.quats.copy()
+    bad[-1] = -bad[-1]
+    with pytest.raises(InvalidInput):
+        BasicNet.load(rewritten(quats=bad))
+    cyclic = net.parent.copy()
+    cyclic[-1] = len(net) - 1
+    with pytest.raises(InvalidInput):
+        BasicNet.load(rewritten(parent=cyclic))
+    assert np.array_equal(BasicNet.load(rewritten()).quats, net.quats)
+
+
+def test_nearest_rejects_non_quaternions(ht_set):
+    net = build_net(ht_set, 2)
+    for bad in (np.eye(2), np.eye(2).reshape(4).astype(complex), np.ones(3)):
+        with pytest.raises(InvalidInput):
+            net.nearest(bad)
 
 
 def test_nearest_word_exact_hit(ht_set):
     net = build_net(ht_set, 4)
     word = net.word_at(17 % len(net))
     target = evaluate_word(word, ht_set)
-    got = net.word_at(net.nearest(target)[0])
+    got = net.word_at(net.nearest(su2.quat(target))[0])
     assert su2.su2_distance(evaluate_word(got, ht_set), target) <= 1e-14
 
 
 def test_nearest_word_of_identity_is_empty_word(ht_set):
     net = build_net(ht_set, 4)
-    assert net.word_at(net.nearest(np.eye(2))[0]) == GateWord()
+    assert net.word_at(net.nearest(su2.quat(np.eye(2)))[0]) == GateWord()
 
 
 def test_nearest_matches_exhaustive_scan(ht_set):
@@ -156,13 +193,60 @@ def test_nearest_matches_exhaustive_scan(ht_set):
     rng = np.random.default_rng(1)
     for _ in range(25):
         v = haar_su2(rng)
-        _, dist = net.nearest(v)
-        brute = min(core.operator_norm(m - v) for m in net.mats)
+        _, dist = net.nearest(su2.quat(v))
+        brute = min(core.operator_norm(su2.from_quat(q) - v) for q in net.quats)
         assert abs(dist - brute) <= 1e-12
 
 
+def _commutator_error(delta):
+    """Operator-norm distance of A B A^-1 B^-1, formed from matrices, to the SU(2) matrix delta."""
+    a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(delta)))
+    return core.operator_norm(a @ b @ a.conj().T @ b.conj().T - delta)
+
+
+def _pair_axis(theta):
+    """Axis m of the unconjugated x/y commutator whose rotation angle is theta."""
+    s = np.sqrt(np.sin(theta / 4.0))
+    return np.array([s, -s, np.sqrt(1.0 - s * s)]) / np.sqrt(1.0 + s * s)
+
+
+AXES = {"x": (1, 0, 0), "-x": (-1, 0, 0), "y": (0, 1, 0), "-y": (0, -1, 0),
+        "z": (0, 0, 1), "-z": (0, 0, -1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-12.0, np.log10(np.pi / 2.0)),
+       st.sampled_from(sorted(AXES) + ["random", "antipode"]), st.integers(0, 2**32 - 1))
+def test_balanced_pair_commutator_is_delta(log_theta, which, seed):
+    theta = 10.0**log_theta
+    if which == "random":
+        axis = np.random.default_rng(seed).standard_normal(3)
+    elif which == "antipode":
+        axis = -_pair_axis(theta)
+    else:
+        axis = AXES[which]
+    assert _commutator_error(su2.rotation(axis, theta)) <= 1e-12
+
+
+def test_balanced_pair_resolves_tiny_rotations():
+    # An arccos of the half trace reads rot_z(2e-9) as the identity, and the
+    # identity pair then leaves the whole residual uncorrected.
+    delta = su2.rot_z(2e-9)
+    assert _commutator_error(delta) <= 1e-6 * core.operator_norm(delta - np.eye(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_qmul_matches_matrix_product(seed):
+    rng = np.random.default_rng(seed)
+    u, v = haar_su2(rng), haar_su2(rng)
+    q = sk._qmul(su2.quat(u), su2.quat(v))
+    assert np.abs(su2.from_quat(q) - u @ v).max() <= 1e-14
+    assert np.abs(su2.from_quat(sk._qconj(su2.quat(u))) - u.conj().T).max() == 0.0
+
+
 def test_group_commutator_identity():
-    a, b = sk._balanced_pair(np.eye(2))
+    a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(np.eye(2))))
     assert np.array_equal(a, np.eye(2))
     assert np.array_equal(b, np.eye(2))
 
@@ -170,12 +254,12 @@ def test_group_commutator_identity():
 def test_group_commutator_small_rotation():
     theta = 0.1
     delta = su2.rot_z(theta)
-    a, b = sk._balanced_pair(delta)
+    a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(delta)))
     comm = a @ b @ a.conj().T @ b.conj().T
     assert core.operator_norm(comm - delta) <= 1e-9
     bound = 2.0 * np.sqrt(theta / 2.0)
-    assert 2.0 * su2.eigen_angle(a) <= bound + 1e-9
-    assert 2.0 * su2.eigen_angle(b) <= bound + 1e-9
+    assert 2.0 * su2.axis_angle(su2.quat(a))[0] <= bound + 1e-9
+    assert 2.0 * su2.axis_angle(su2.quat(b))[0] <= bound + 1e-9
     for m in (a, b):
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert abs(det - 1.0) <= 1e-12
@@ -187,7 +271,7 @@ def test_group_commutator_generic_axes():
         axis = rng.standard_normal(3)
         theta = rng.uniform(0.0, np.pi / 2)
         delta = su2.rotation(axis, theta)
-        a, b = sk._balanced_pair(delta)
+        a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(delta)))
         comm = a @ b @ a.conj().T @ b.conj().T
         assert core.operator_norm(comm - delta) <= 1e-9
 
@@ -212,14 +296,14 @@ def test_group_commutator_degenerate_axes():
     # Targets along the construction's own x/y axes and the antipodal branch.
     for axis in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -1)):
         delta = su2.rotation(axis, 0.3)
-        a, b = sk._balanced_pair(delta)
+        a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(delta)))
         comm = a @ b @ a.conj().T @ b.conj().T
         assert core.operator_norm(comm - delta) <= 1e-9
 
 
 def test_group_commutator_near_identity():
     delta = su2.rot_y(1e-9)
-    a, b = sk._balanced_pair(delta)
+    a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(delta)))
     comm = a @ b @ a.conj().T @ b.conj().T
     assert core.operator_norm(comm - delta) <= 1e-9
 
@@ -227,7 +311,7 @@ def test_group_commutator_near_identity():
 def test_build_net_deterministic(ht_set):
     n1 = build_net(ht_set, 5)
     n2 = build_net(ht_set, 5)
-    assert np.array_equal(n1.mats, n2.mats)
+    assert np.array_equal(n1.quats, n2.quats)
     assert np.array_equal(n1.parent, n2.parent)
     assert np.array_equal(n1.code, n2.code)
 
@@ -246,7 +330,7 @@ def test_sk_large_eps_uses_base_case(net8):
     for _ in range(10):
         v = haar_su2(rng)
         w, _ = sk_approximate_with_error(v, min(0.9, radius * 2), net8, depth=5)
-        assert w == net8.word_at(net8.nearest(v)[0])
+        assert w == net8.word_at(net8.nearest(su2.quat(v))[0])
 
 
 def test_sk_ht_example(ht_set):
@@ -333,10 +417,9 @@ def test_nearest_ties_are_canonical_on_mirror_plane(net12, theta, phi):
     # target with z = 0 is equidistant from w and reverse(w): the pick must
     # not depend on rounding, nor on a z far below the tie tolerance.
     a, x, y = np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
-    picks = {net12.nearest(su2.from_bloch(a, (x, y, z)))[0] for z in (0.0, 1e-18, -1e-18)}
+    picks = {net12.nearest(np.array([a, x, y, z]))[0] for z in (0.0, 1e-18, -1e-18)}
     assert len(picks) == 1
-    v8 = su2.from_bloch(a, (x, y, 0.0)).reshape(4).view(np.float64)
-    d2 = 2.0 - net12._flat @ v8
+    d2 = 2.0 - 2.0 * (net12.quats @ np.array([a, x, y, 0.0]))
     ties = np.flatnonzero(d2 <= d2.min() + sk.TIE_TOL)
     words = [net12.word_at(int(i)) for i in ties]
     best = min(words, key=lambda w: (len(w), w.letters))

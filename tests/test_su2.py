@@ -183,3 +183,15 @@ def test_minlog_u2_eigen_angle_minus_pi_is_cut_locus():
         res = su2.minlog_u2(v)
         assert not res.unique
         assert np.abs(core.mat_exp(res.generator) - v).max() <= 1e-12
+
+
+def test_quat_round_trip():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        v = haar_su2(rng)
+        q = su2.quat(v)
+        assert q.shape == (4,) and q.dtype == np.float64
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-14
+        assert np.abs(su2.from_quat(q) - v).max() <= 1e-15
+    stack = np.array([haar_su2(rng) for _ in range(5)])
+    assert np.array_equal(su2.quat(stack), np.array([su2.quat(v) for v in stack]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolevel import build_net, compiler
+from twolevel import build_net, compiler, su2
 from twolevel.compiler import CompilationResult, LiftedLetter, LiftedWord, lift_word, verify
 from twolevel.errors import InvalidIndex, UnknownLetter
 from twolevel.sk import GateSet, GateWord, evaluate_word
@@ -131,7 +131,7 @@ def test_net_words_evaluate_over_only_the_letters_they_use():
         if len(used) == len(ALPHABET.labels):
             continue
         only = GateSet.from_letters([(lab, letter_matrix(lab, False)) for lab in used])
-        assert np.abs(evaluate_word(w, only) - net.mats[i]).max() <= 1e-12
+        assert np.abs(evaluate_word(w, only) - su2.from_quat(net.quats[i])).max() <= 1e-12
         r = CompilationResult(dim=3, word=lift_word(w, 2, 3), word_length=len(w))
         u = sequential_lifted(list(r.word), 3)
         assert verify(u, r, only) <= 1e-12
