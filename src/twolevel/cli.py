@@ -65,7 +65,7 @@ def _load_gate_set(path: str | None) -> sk.GateSet:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj))
 
 
 def _net_for(gate_set: sk.GateSet, max_len: int) -> sk.BasicNet:
@@ -324,8 +324,6 @@ def main(argv=None) -> int:
     _resolve_options(args)
     try:
         args.func(args)
-    except SystemExit:
-        raise
     except TwoLevelError as exc:
         _fail(EXIT_PARSE, str(exc))
     return 0

@@ -47,9 +47,6 @@ class LiftedLetter:
         if not (1 <= self.p < self.q):
             raise InvalidIndex(f"require 1 <= p < q, got ({self.p}, {self.q})")
 
-    def to_json(self) -> dict:
-        return {"label": self.label, "inv": bool(self.inverted), "p": self.p, "q": self.q}
-
     @classmethod
     def from_json(cls, obj: dict) -> "LiftedLetter":
         try:
@@ -110,7 +107,11 @@ class LiftedWord:
         return NotImplemented
 
     def to_json(self) -> list:
-        return [l.to_json() for l in self]
+        codes, labels, out = self.word.codes.tolist(), self.word.labels, []
+        for p, q, start, stop in self.segments:  # per segment, one letter dict per code
+            table = [{"label": l, "inv": i, "p": p, "q": q} for l in labels for i in (False, True)]
+            out += [table[c].copy() for c in codes[start:stop]]
+        return out
 
 
 @dataclass

@@ -151,7 +151,7 @@ class GateWord:
         exactly when ``gate_set`` lacks a letter of the word.
         """
         index = np.zeros(len(self.labels), dtype=np.int16)
-        for i in np.unique(self.codes >> 1).tolist():
+        for i in np.flatnonzero(np.bincount(self.codes >> 1, minlength=len(index))).tolist():
             index[i] = gate_set.index_of(self.labels[i])
         return 2 * index[self.codes >> 1] + (self.codes & 1)
 

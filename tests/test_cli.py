@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import twolevel
-from twolevel import cli, core, sk
+from twolevel import cli, compiler, config, core, sk
 from twolevel.diagonal import PhaseProgram
 from twolevel.givens import Factorization
 
@@ -341,6 +341,29 @@ def test_verify_round_trip(tmp_path, capsys):
     assert abs(json.loads(out)["achieved_error"] - achieved) <= 1e-12
 
 
+def test_compile_stdout_is_compact_json_of_the_result(tmp_path, capsys, gate_set):
+    u = haar_unitary(4, np.random.default_rng(8))
+    f = write_matrix(tmp_path / "m.json", u)
+    code, out, _ = run_cli(["compile", f, "--epsilon", "0.2", "--net-max-len", "8"], capsys)
+    assert code == 0
+    result = compiler.compile(u, 0.2, gate_set, sk.build_net(gate_set, 8),
+                              depth=config.DEFAULT_SK_DEPTH)
+    assert out == json.dumps(result.to_json()) + "\n"
+    assert out.count("\n") == 1
+
+
+def test_verify_accepts_an_indented_result(tmp_path, capsys):
+    f = write_matrix(tmp_path / "m.json", haar_unitary(3, np.random.default_rng(9)))
+    code, out, _ = run_cli(["compile", f, "--epsilon", "0.2", "--net-max-len", "8"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(obj, indent=2))
+    code, out, _ = run_cli(["verify", f, str(indented)], capsys)
+    assert code == 0
+    assert json.loads(out)["achieved_error"] == obj["achieved_error"]
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"format": "table"}))
@@ -422,3 +445,29 @@ assert np.abs(np.linalg.eigvalsh(1j * x)).max() <= np.pi
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_warm_compile_and_verify_do_not_import_numpy_ma(tmp_path):
+    """A cold build_net may import numpy.ma; a compile on a warm cache must not."""
+    u = write_matrix(tmp_path / "u.json", haar_unitary(4, np.random.default_rng(14)))
+    r = str(tmp_path / "r.json")
+    warm = f"""
+from twolevel import cli
+assert cli.main(["compile", {u!r}, "--epsilon", "0.5", "--net-max-len", "6"]) == 0
+"""
+    script = f"""
+import contextlib
+import sys
+from twolevel import cli
+with open({r!r}, "w") as fh, contextlib.redirect_stdout(fh):
+    assert cli.main(["compile", {u!r}, "--epsilon", "0.5", "--net-max-len", "6"]) == 0
+assert cli.main(["verify", {u!r}, {r!r}]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = str(Path(twolevel.__file__).resolve().parents[1])
+    env = dict(os.environ, TWOLEVEL_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for code in (warm, script):
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

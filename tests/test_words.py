@@ -4,6 +4,8 @@ The batched evaluators (pairwise halving per same-plane run) are checked
 against a plain sequential left-to-right product kept here.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,29 @@ def test_joined_lifts_match_sequential_product(blocks):
     assert word == flat
     got = compiler.evaluate_lifted(word, ALPHABET, DIM)
     assert np.abs(got - sequential_lifted(flat, DIM)).max() <= 1e-12
+
+
+def alphabet_word(letters):
+    """A word over the alphabet's own label table, as SK builds them."""
+    codes = [2 * ALPHABET.labels.index(lab) + inv for lab, inv in letters]
+    return GateWord.from_codes(codes, ALPHABET.labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(words, st.sampled_from(PLANES[:3]), st.booleans()), max_size=8))
+def test_lifted_word_json_matches_per_letter_reference(parts):
+    """Interleaved and merging planes, the empty word, and both label-table conventions."""
+    word = LiftedWord.join([lift_word(alphabet_word(w) if by_alphabet else GateWord(w), p, q)
+                            for w, (p, q), by_alphabet in parts])
+    ref = [{"label": l.label, "inv": l.inverted, "p": l.p, "q": l.q} for l in list(word)]
+    got = word.to_json()
+    assert json.dumps(got) == json.dumps(ref)  # same keys, key order and value types
+    assert len({id(d) for d in got}) == len(got)
+    if got:
+        got[0]["label"] = "zz"
+        assert got[1:] == ref[1:] and word.to_json() == ref
+    r = CompilationResult(dim=DIM, word=word, word_length=len(word))
+    assert CompilationResult.from_json(r.to_json()).to_json() == r.to_json()
 
 
 @given(st.lists(lifted_letters, max_size=1))
