@@ -18,15 +18,11 @@ from .compiler import (
 )
 from .core import (
     DEFAULT_TOL,
-    hs_inner,
     hs_norm,
-    is_unitary,
     mat_exp,
-    mat_log_principal,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    pauli_generator,
 )
 from .diagonal import (
     DiagonalUnitary,
@@ -40,7 +36,6 @@ from .embeddings import (
     TwoLevelFactor,
     embed_coordinate,
     embed_frame,
-    is_two_level,
     tensor_place,
 )
 from .givens import Factorization, factor, reconstruct

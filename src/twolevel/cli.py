@@ -85,8 +85,12 @@ def _net_for(gate_set: sk.GateSet, max_len: int) -> sk.BasicNet:
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".npz")
         os.close(fd)
-        net.save(tmp)
-        os.replace(tmp, path)
+        try:
+            net.save(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         print(f"warning: could not cache net: {exc}", file=sys.stderr)
     return net

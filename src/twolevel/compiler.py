@@ -255,6 +255,8 @@ def _compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int,
     u = as_matrix(u)
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
+    if depth < 0:
+        raise InvalidInput("depth must be >= 0")
     _check_alphabet(gate_set, net)
     fact = factor(u)
     blocks, diag = _specialize_blocks(fact)

@@ -2,22 +2,18 @@
 
 Matrices are plain ``numpy`` arrays (``complex128``).  Everything here is
 desk scale (dim <= 64, dense): the operator norm goes through a full SVD.
-``mat_log_principal`` diagonalizes through the complex Schur form, which is
-numerically clean for normal matrices; it is the only user of ``scipy``,
-imported on its first call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidInput, NotUnitary, NumericalFailure
+from .errors import InvalidInput, NotUnitary
 
 #: Base tolerance; checks scale it by the matrix dimension.
 DEFAULT_TOL = 1e-10
 
 PAULI = {
-    "0": np.eye(2, dtype=np.complex128),
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
@@ -43,13 +39,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u)
     n = u.shape[0]
     return float(np.abs(u.conj().T @ u - np.eye(n)).max())
-
-
-def is_unitary(u, tol: float | None = None) -> bool:
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return False
-    return unitarity_defect(u) <= scaled_tol(u.shape[0], tol)
 
 
 def assert_unitary(u, tol: float | None = None, what: str = "matrix") -> np.ndarray:
@@ -78,17 +67,9 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def hs_inner(x, y) -> float:
-    """Hilbert-Schmidt pairing (1/2) Re Tr(X^dag Y)."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape != y.shape:
-        raise DimMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
-    return 0.5 * float(np.real(np.vdot(x, y)))
-
-
 def hs_norm(x) -> float:
-    return float(np.sqrt(max(hs_inner(x, x), 0.0)))
+    """Hilbert-Schmidt norm sqrt((1/2) Tr(X^dag X)): sqrt(1/2) times the Frobenius norm."""
+    return float(np.sqrt(0.5) * np.linalg.norm(as_matrix(x)))
 
 
 def mat_exp(x, tol: float | None = None) -> np.ndarray:
@@ -106,52 +87,6 @@ def mat_exp(x, tol: float | None = None) -> np.ndarray:
     h = 0.5 * (h + h.conj().T)  # kill the tolerated defect before eigh
     w, q = np.linalg.eigh(h)
     return (q * np.exp(-1.0j * w)) @ q.conj().T
-
-
-def mat_log_principal(u, tol: float | None = None) -> np.ndarray:
-    """Principal logarithm of a unitary: eigen-angles in (-pi, pi].
-
-    Returns anti-Hermitian ``X = Q diag(i theta_j) Q^dag`` with
-    ``exp(X) == U`` up to ``10 * tol * dim``; angle exactly pi maps to +pi.
-    """
-    u = assert_unitary(u, tol)
-    n = u.shape[0]
-    off = u - np.diag(np.diag(u))
-    if not off.any():
-        return np.diag(1.0j * np.angle(np.diag(u)))
-    import scipy.linalg
-
-    t, q = scipy.linalg.schur(u, output="complex")
-    theta = np.angle(np.diag(t))
-    x = (q * (1.0j * theta)) @ q.conj().T
-    x = 0.5 * (x - x.conj().T)
-    defect = float(np.abs(mat_exp(x) - u).max())
-    if defect > 10.0 * scaled_tol(n, tol):
-        raise NumericalFailure(f"principal log failed to reproduce input: defect {defect:.3e}")
-    return x
-
-
-def pauli_generator(labels) -> np.ndarray:
-    """Normalized anti-Hermitian generator -(i/2) * (sigma_a1 x ... x sigma_an).
-
-    ``labels`` is a string or sequence over {0, x, y, z}; the all-identity
-    string is rejected (the generator must be a genuine rotation direction).
-    """
-    labels = list(labels)
-    if len(labels) < 1:
-        raise InvalidInput("need at least one Pauli label")
-    mats = []
-    for lab in labels:
-        key = str(lab)
-        if key not in PAULI:
-            raise InvalidInput(f"unknown Pauli label {lab!r}; expected one of 0, x, y, z")
-        mats.append(PAULI[key])
-    if all(str(lab) == "0" for lab in labels):
-        raise InvalidInput("all-identity Pauli string has no generator")
-    p = mats[0]
-    for m in mats[1:]:
-        p = np.kron(p, m)
-    return -0.5j * p
 
 
 def matrix_to_json(m) -> dict:

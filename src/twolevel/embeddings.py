@@ -15,10 +15,6 @@ import numpy as np
 from .core import as_matrix, matrix_from_json, matrix_to_json, scaled_tol
 from .errors import InvalidFrame, InvalidIndex, InvalidInput
 
-#: Recognition threshold for off-pattern entries (matches reconstruction noise).
-RECOGNITION_TOL = 1e-9
-
-
 @dataclass
 class TwoLevelFactor:
     """One Givens factor: a 2x2 unitary block pinned to coordinates (p, q), 1-based."""
@@ -90,24 +86,3 @@ def tensor_place(j: int, v, n: int) -> np.ndarray:
     left = np.eye(2 ** (j - 1), dtype=np.complex128)
     right = np.eye(2 ** (n - j), dtype=np.complex128)
     return np.kron(np.kron(left, v), right)
-
-
-def is_two_level(u, tol: float = RECOGNITION_TOL):
-    """Recognize a coordinate two-level unitary.
-
-    Returns ``(p, q, block)`` (1-based) if ``u`` differs from the identity
-    only inside one coordinate pair, and ``None`` otherwise.  The identity
-    (and single-coordinate phases) have no distinguished pair and return
-    ``None``.
-    """
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return None
-    n = u.shape[0]
-    dev = np.abs(u - np.eye(n)) > tol
-    support = np.flatnonzero(dev.any(axis=0) | dev.any(axis=1))
-    if len(support) != 2:
-        return None
-    i, j = int(support[0]), int(support[1])
-    block = u[np.ix_([i, j], [i, j])].copy()
-    return (i + 1, j + 1, block)

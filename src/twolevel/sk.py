@@ -128,12 +128,6 @@ class GateWord:
     def __repr__(self) -> str:
         return f"GateWord({self.letters!r})"
 
-    def inverse(self) -> "GateWord":
-        return GateWord.from_codes(self.codes[::-1] ^ 1, self.labels)
-
-    def __add__(self, other: "GateWord") -> "GateWord":
-        return GateWord.concat([self, other])
-
     @classmethod
     def concat(cls, words) -> "GateWord":
         """Concatenation, by array when the non-empty words share one label table."""
@@ -154,16 +148,6 @@ class GateWord:
         for i in np.flatnonzero(np.bincount(self.codes >> 1, minlength=len(index))).tolist():
             index[i] = gate_set.index_of(self.labels[i])
         return 2 * index[self.codes >> 1] + (self.codes & 1)
-
-    def to_json(self) -> dict:
-        return {"letters": [{"label": lab, "inv": inv} for lab, inv in self.letters]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GateWord":
-        try:
-            return cls(tuple((str(e["label"]), bool(e["inv"])) for e in obj["letters"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed GateWord JSON: {exc}") from exc
 
 
 def letter_table(gate_set: GateSet) -> np.ndarray:
@@ -322,14 +306,27 @@ class BasicNet:
     def load(cls, path) -> "BasicNet":
         """Read a net ``save`` wrote.
 
-        Raises InvalidInput if its NET_FORMAT differs or is missing, if a parent
-        pointer does not point back, or if one of 16 sampled entries is not its word's.
+        Raises InvalidInput if its NET_FORMAT differs or is missing, if its arrays
+        are not n unit quaternions with n parents and n letter codes of the gate
+        set, if a parent pointer does not point back, or if one of 16 sampled
+        entries is not its word's.
         """
         with np.load(path, allow_pickle=False) as z:
             if "net_format" not in z.files or int(z["net_format"][0]) != cls.NET_FORMAT:
                 raise InvalidInput(f"{path} is not a net file of format {cls.NET_FORMAT}")
             gs = GateSet.from_json(json.loads(str(z["gate_set"][0])))
-            net = cls(gs, int(z["max_word_length"][0]), z["quats"], z["parent"], z["code"])
+            quats, parent, code = z["quats"], z["parent"], z["code"]
+            max_len = int(z["max_word_length"][0])
+        if not (quats.ndim == 2 and quats.shape[1] == 4 and len(quats) > 0
+                and parent.shape == code.shape == quats.shape[:1]):
+            raise InvalidInput(f"{path}: quats, parent and code are not (n, 4), (n,) and (n,)")
+        # |q|^2 within 2e-9 of 1 puts |q| within 1e-9 of 1.
+        if not (np.isfinite(quats).all()
+                and np.abs(np.einsum("ij,ij->i", quats, quats) - 1.0).max() <= 2e-9):
+            raise InvalidInput(f"{path}: quats are not finite unit quaternions")
+        if not np.all((code[1:] >= 0) & (code[1:] < 2 * len(gs.labels))):
+            raise InvalidInput(f"{path}: letter codes lie outside the gate set")
+        net = cls(gs, max_len, quats, parent, code)
         if not np.all((net.parent[1:] >= 0) & (net.parent[1:] < np.arange(1, len(net)))):
             raise InvalidInput(f"{path}: parent pointers do not point to earlier entries")
         table = letter_table(gs)  # net codes index the gate set's own letter order

@@ -408,6 +408,30 @@ def test_tol_only_on_commands_that_read_it(tmp_path, capsys):
         assert code == 0
 
 
+def test_failed_net_save_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    f = write_matrix(tmp_path / "m.json", haar_unitary(2, np.random.default_rng(15)))
+
+    def failing_save(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sk.BasicNet, "save", failing_save)
+    code, out, err = run_cli(["compile", f, "--epsilon", "0.3", "--net-max-len", "6"], capsys)
+    assert code == 0 and json.loads(out)["achieved_error"] <= 0.3
+    assert "warning: could not cache net: disk full" in err
+    assert list((tmp_path / "cache").glob("*.npz")) == []
+
+
+@pytest.mark.parametrize("kind", ["identity", "haar"])
+def test_compile_rejects_negative_sk_depth(tmp_path, capsys, kind):
+    u = np.eye(3) if kind == "identity" else haar_unitary(3, np.random.default_rng(16))
+    f = write_matrix(tmp_path / "m.json", u)
+    for pure in ([], ["--pure"]):
+        code, out, err = run_cli(["compile", f, "--epsilon", "0.1", "--net-max-len", "4",
+                                  "--sk-depth", "-1"] + pure, capsys)
+        assert code == 2 and out == ""
+        assert "depth must be >= 0" in err
+
+
 def test_net_cache_is_keyed_on_dedup_tol(tmp_path, capsys, monkeypatch):
     f = write_matrix(tmp_path / "m.json", haar_unitary(2, np.random.default_rng(12)))
     args = ["compile", f, "--epsilon", "0.5", "--net-max-len", "4"]
@@ -422,22 +446,28 @@ def test_net_cache_is_keyed_on_dedup_tol(tmp_path, capsys, monkeypatch):
     assert len(set(cache.glob("net_*.npz")) - first) == 1
 
 
-def test_compile_and_minlog_do_not_import_scipy(tmp_path):
+def test_package_and_commands_do_not_import_scipy(tmp_path):
     rng = np.random.default_rng(13)
     u = write_matrix(tmp_path / "u.json", haar_unitary(3, rng))
     v = write_matrix(tmp_path / "v.json", haar_unitary(2, rng))
+    d = write_matrix(tmp_path / "d.json", np.diag(np.exp(1j * rng.uniform(-3, 3, 4))))
+    r = str(tmp_path / "r.json")
     script = f"""
-import json
+import contextlib
+import importlib
+import pkgutil
 import sys
-import numpy as np
-from twolevel import cli, core
-assert cli.main(["compile", {u!r}, "--epsilon", "0.5", "--net-max-len", "4"]) == 0
-assert cli.main(["minlog", {v!r}]) == 0
+import twolevel
+from twolevel import cli
+for mod in pkgutil.iter_modules(twolevel.__path__):
+    importlib.import_module("twolevel." + mod.name)
+compile_args = ["compile", {u!r}, "--epsilon", "0.5", "--net-max-len", "8"]
+with open({r!r}, "w") as fh, contextlib.redirect_stdout(fh):
+    assert cli.main(compile_args) == 0
+for args in (["factor", {u!r}], compile_args + ["--pure"], ["verify", {u!r}, {r!r}],
+             ["diag", {d!r}], ["minlog", {v!r}], ["strata", "--dim", "4"]):
+    assert cli.main(args) == 0, args
 assert "scipy" not in sys.modules, "scipy was imported"
-u = core.matrix_from_json(json.load(open({u!r})))
-x = core.mat_log_principal(u)
-assert np.abs(core.mat_exp(x) - u).max() <= 1e-12
-assert np.abs(np.linalg.eigvalsh(1j * x)).max() <= np.pi
 """
     src = str(Path(twolevel.__file__).resolve().parents[1])
     env = dict(os.environ, TWOLEVEL_CACHE_DIR=str(tmp_path / "cache"),

@@ -116,6 +116,15 @@ def test_compile_rejects_bad_eps(gate_set, net12):
         compile_pure(np.eye(2), 1.0, gate_set, net12)
 
 
+@pytest.mark.parametrize("pure", [False, True])
+@pytest.mark.parametrize("kind", ["identity", "haar"])
+def test_compile_rejects_negative_depth(gate_set, net8, kind, pure):
+    u = np.eye(3) if kind == "identity" else haar_unitary(3, np.random.default_rng(21))
+    run = compile_pure if pure else tl_compile
+    with pytest.raises(InvalidInput, match="depth"):
+        run(u, 0.1, gate_set, net8, depth=-1)
+
+
 def test_compile_rejects_mismatched_alphabet(net12):
     from twolevel import su2
 

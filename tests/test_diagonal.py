@@ -11,7 +11,6 @@ from twolevel.diagonal import (
     synth_full_diagonal,
     synth_special_diagonal,
 )
-from twolevel.embeddings import is_two_level
 from twolevel.errors import InvalidIndex, InvalidInput, NotSpecial
 
 
@@ -63,17 +62,17 @@ def test_gamma_two_pi_is_minus_identity():
 
 
 def test_gamma_recognized_as_two_level():
-    got = is_two_level(gamma_1j(3, 1.1, 5))
-    assert got is not None
-    p, q, block = got
-    assert (p, q) == (1, 3)
+    g = gamma_1j(3, 1.1, 5)
+    rows, cols = np.nonzero(np.abs(g - np.eye(5)) > 1e-12)
+    assert set(rows) | set(cols) == {0, 2}
+    block = g[np.ix_([0, 2], [0, 2])]
     assert np.abs(block - np.diag([np.exp(0.55j), np.exp(-0.55j)])).max() <= 1e-14
 
 
 def test_gamma_determinant_and_support():
     g = gamma_1j(4, 0.7, 6)
     assert abs(np.linalg.det(g) - 1.0) <= 1e-12
-    assert core.is_unitary(g)
+    assert core.unitarity_defect(g) <= 1e-12
 
 
 def test_gamma_one_parameter_subgroup():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twolevel import core, embeddings
-from twolevel.embeddings import embed_coordinate, embed_frame, is_two_level, tensor_place
+from twolevel.embeddings import embed_coordinate, embed_frame, tensor_place
 from twolevel.errors import InvalidFrame, InvalidIndex, InvalidInput
 
 from util import haar_su2, haar_unitary, random_frame
@@ -28,7 +28,7 @@ def test_embed_coordinate_entry_placement():
     u = embed_coordinate(2, 4, v, 5)
     assert u[1, 1] == v[0, 0] and u[1, 3] == v[0, 1]
     assert u[3, 1] == v[1, 0] and u[3, 3] == v[1, 1]
-    assert core.is_unitary(u)
+    assert core.unitarity_defect(u) <= 1e-12
 
 
 def test_embed_coordinate_bad_indices():
@@ -93,7 +93,7 @@ def test_embed_frame_action_and_unitarity():
         f = random_frame(n, rng)
         s = haar_su2(rng)
         u = embed_frame(f, s)
-        assert core.is_unitary(u)
+        assert core.unitarity_defect(u) <= 1e-12
         assert np.abs(u @ f - f @ s).max() <= 1e-12
         # Identity on the orthogonal complement.
         full, _ = np.linalg.qr(np.concatenate([f, rng.standard_normal((n, n))], axis=1))
@@ -176,39 +176,6 @@ def test_tensor_place_bad_index():
         tensor_place(0, np.eye(2), 2)
     with pytest.raises(InvalidIndex):
         tensor_place(3, np.eye(2), 2)
-
-
-def test_is_two_level_identity_absent():
-    assert is_two_level(np.eye(5)) is None
-
-
-def test_is_two_level_round_trip():
-    rng = np.random.default_rng(11)
-    v = haar_su2(rng)
-    res = is_two_level(embed_coordinate(2, 4, v, 8))
-    assert res is not None
-    p, q, block = res
-    assert (p, q) == (2, 4)
-    assert np.array_equal(block, v)
-
-
-def test_is_two_level_rejects_tensor_gate():
-    got = is_two_level(tensor_place(1, core.PAULI["x"], 2))
-    assert got is None
-
-
-def test_is_two_level_single_phase_has_no_unique_pair():
-    assert is_two_level(np.diag([np.exp(0.3j), 1.0, 1.0])) is None
-
-
-def test_is_two_level_recognition_threshold():
-    from twolevel import su2
-
-    below = embed_coordinate(1, 3, su2.rot_x(1e-10), 4)  # deviation ~5e-11
-    assert is_two_level(below) is None
-    above = embed_coordinate(1, 3, su2.rot_x(1e-5), 4)
-    got = is_two_level(above)
-    assert got is not None and (got[0], got[1]) == (1, 3)
 
 
 def test_two_level_factor_json_round_trip():

@@ -80,12 +80,6 @@ def test_evaluate_word_is_left_to_right(ht_set):
     assert np.abs(got - t @ h).max() > 1e-2  # non-commuting pair
 
 
-def test_gate_word_inverse_and_json():
-    w = GateWord((("h", False), ("t", True), ("t", False)))
-    assert w.inverse().letters == (("t", True), ("t", False), ("h", True))
-    assert GateWord.from_json(w.to_json()).letters == w.letters
-
-
 def test_build_net_single_involution():
     gs = GateSet.from_letters([("h", h_like())])
     net = build_net(gs, 2)
@@ -166,6 +160,37 @@ def test_net_file_carries_its_format(tmp_path, ht_set):
     with pytest.raises(InvalidInput):
         BasicNet.load(rewritten(parent=cyclic))
     assert np.array_equal(BasicNet.load(rewritten()).quats, net.quats)
+
+
+def _unsampled_row(quats, value):
+    """A copy of ``quats`` with one row that ``load``'s 16-entry sample skips set to ``value``."""
+    sampled = set(np.linspace(0, len(quats) - 1, 16).astype(int).tolist())
+    out = quats.copy()
+    out[next(i for i in range(1, len(quats)) if i not in sampled)] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda net: {"quats": net.quats[:, :3]},
+        lambda net: {"parent": net.parent[:-1]},
+        lambda net: {"code": net.code[:-1]},
+        lambda net: {"code": np.concatenate([net.code[:-1], [99]]).astype(np.int16)},
+        lambda net: {"quats": _unsampled_row(net.quats, np.nan)},
+        lambda net: {"quats": _unsampled_row(net.quats, 0.6)},
+    ],
+    ids=["quats_3_columns", "parent_short", "code_short", "code_99", "nan_row", "non_unit_row"],
+)
+def test_net_load_rejects_malformed_arrays(tmp_path, ht_set, change):
+    net = build_net(ht_set, 6)
+    path = tmp_path / "net.npz"
+    net.save(path)
+    with np.load(path) as z:
+        fields = {**dict(z), **change(net)}
+    np.savez(path, **fields)
+    with pytest.raises(InvalidInput):
+        BasicNet.load(path)
 
 
 def test_nearest_rejects_non_quaternions(ht_set):
@@ -386,7 +411,7 @@ def test_sk_inverse_symmetry(net8, gate_set):
         w_fwd, err_fwd = sk_approximate_with_error(v, 0.08, net8, depth=5)
         vinv = v.conj().T
         # The reversed-inverted word achieves the same error on the inverse target.
-        rev = su2.su2_distance(vinv, evaluate_word(w_fwd.inverse(), gate_set))
+        rev = su2.su2_distance(vinv, evaluate_word(GateWord.from_codes(w_fwd.codes[::-1] ^ 1, w_fwd.labels), gate_set))
         assert abs(rev - err_fwd) <= 1e-12
         _, err_inv = sk_approximate_with_error(vinv, 0.08, net8, depth=5)
         assert err_inv <= 0.08

@@ -173,7 +173,7 @@ def test_rotation_matches_pauli_exponential():
     for _ in range(10):
         theta = rng.uniform(-np.pi, np.pi)
         lhs = su2.rot_x(theta)
-        rhs = core.mat_exp(theta * core.pauli_generator("x"))
+        rhs = core.mat_exp(theta * -0.5j * core.PAULI["x"])
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
