@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .core import as_matrix, assert_unitary, matrix_from_json, matrix_to_json
 from .errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
 from .su2 import SU2_DET_TOL, det2, quat, su2_distance
 
-#: Net entries closer than this (operator norm) are merged, keeping the shorter word.
+#: build_net drops a word closer than this (operator norm) to a word it kept before.
 DEDUP_TOL = 1e-6
 
 DEFAULT_NET_CAP = 2_000_000
@@ -216,6 +217,11 @@ def _qconj(q):
     return (a, -x, -y, -z)
 
 
+def _qdot(p, q):
+    """Dot product in one summation order, so tuples and component-first arrays round alike."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
+
+
 class BasicNet:
     """Immutable enumeration of short words with the quaternions of their products.
 
@@ -227,7 +233,7 @@ class BasicNet:
     #: Version of what ``build_net`` enumerates and of the npz layout ``save``
     #: writes; net caches are keyed on it and ``load`` checks it.  Bump it
     #: when either changes.
-    NET_FORMAT = 2
+    NET_FORMAT = 3
 
     def __init__(self, gate_set: GateSet, max_word_length: int, quats, parent, code):
         self.gate_set = gate_set
@@ -306,20 +312,25 @@ class BasicNet:
     def load(cls, path) -> "BasicNet":
         """Read a net ``save`` wrote.
 
-        Raises InvalidInput if its NET_FORMAT differs or is missing, if its arrays
+        Raises InvalidInput if the file is not an npz archive of the members
+        ``save`` writes, if its NET_FORMAT differs or is missing, if its arrays
         are not n unit quaternions with n parents and n letter codes of the gate
         set, if a parent pointer does not point back, or if one of 16 sampled
-        entries is not its word's.
+        entries is not its word's.  A path that cannot be opened raises OSError.
         """
-        with np.load(path, allow_pickle=False) as z:
-            if "net_format" not in z.files or int(z["net_format"][0]) != cls.NET_FORMAT:
-                raise InvalidInput(f"{path} is not a net file of format {cls.NET_FORMAT}")
-            gs = GateSet.from_json(json.loads(str(z["gate_set"][0])))
-            quats, parent, code = z["quats"], z["parent"], z["code"]
-            max_len = int(z["max_word_length"][0])
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                if "net_format" not in z.files or int(z["net_format"][0]) != cls.NET_FORMAT:
+                    raise InvalidInput(f"{path} is not a net file of format {cls.NET_FORMAT}")
+                gs = GateSet.from_json(json.loads(str(z["gate_set"][0])))
+                quats, parent, code = z["quats"], z["parent"], z["code"]
+                max_len = int(z["max_word_length"][0])
+        except (EOFError, IndexError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+            raise InvalidInput(f"{path} is not a readable net file: {exc!r}") from exc
         if not (quats.ndim == 2 and quats.shape[1] == 4 and len(quats) > 0
-                and parent.shape == code.shape == quats.shape[:1]):
-            raise InvalidInput(f"{path}: quats, parent and code are not (n, 4), (n,) and (n,)")
+                and parent.shape == code.shape == quats.shape[:1]
+                and quats.dtype.kind == "f" and parent.dtype.kind == code.dtype.kind == "i"):
+            raise InvalidInput(f"{path}: quats, parent and code are not (n, 4) floats, (n,) and (n,) ints")
         # |q|^2 within 2e-9 of 1 puts |q| within 1e-9 of 1.
         if not (np.isfinite(quats).all()
                 and np.abs(np.einsum("ij,ij->i", quats, quats) - 1.0).max() <= 2e-9):
@@ -336,98 +347,70 @@ class BasicNet:
         return net
 
 
-def _round_keys(quats: np.ndarray) -> np.ndarray:
-    """Quantized byte keys for exact-collision dedup at DEDUP_TOL resolution."""
-    q = np.ascontiguousarray(np.round(quats / DEDUP_TOL).astype(np.int64))
-    return q.view(np.dtype((np.void, q.dtype.itemsize * q.shape[1]))).reshape(-1)
+#: Generic unit direction; sorting by q . v windows build_net's close pairs.
+_DEDUP_AXIS = np.array([1.0, 0.9, 0.8, 0.7]) / np.linalg.norm([1.0, 0.9, 0.8, 0.7])
+
+
+def _dedup_level(net_quats: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Mask of the candidates, in enumeration order, that the proximity rule keeps.
+
+    A candidate is dropped exactly when 2 - 2 q . q' < DEDUP_TOL**2 for a kept
+    q': a net entry, or a kept candidate before it.  As |q . v - q' . v| <=
+    |q - q'|, every such pair lies in a q . v window of DEDUP_TOL; 1e-9 more
+    absorbs rounding.  Applying the rule to "all kept", then to its own result,
+    alternates around the greedy result and stops on it, its only fixed point.
+    """
+    n = len(net_quats)
+    allq = np.concatenate((net_quats, cand))
+    key = allq @ _DEDUP_AXIS
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], key[n:] - (DEDUP_TOL + 1e-9))
+    reps = np.searchsorted(key[order], key[n:] + (DEDUP_TOL + 1e-9), side="right") - lo
+    later = np.repeat(np.arange(n, len(allq)), reps)
+    earlier = order[np.repeat(lo - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())]
+    close = (earlier < later) & (2.0 - 2.0 * _qdot(allq[later].T, allq[earlier].T) < DEDUP_TOL**2)
+    later, earlier = later[close], earlier[close]
+    keep = np.ones(len(allq), dtype=bool)
+    while True:
+        nxt = np.ones(len(allq), dtype=bool)
+        nxt[later[keep[earlier]]] = False
+        if np.array_equal(nxt, keep):
+            return keep[n:]
+        keep = nxt
 
 
 def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> BasicNet:
     """Enumerate all words of length <= max_len over letters and inverses.
 
-    Immediate back-tracking (a letter followed by its own inverse) is
-    pruned; remaining exact collisions are removed by quantized-key
-    dedup and near-collisions (< 1e-6 in operator norm) by a
-    distance-to-identity window pass, always keeping the earlier
-    (shorter) word.  Raises NetTooLarge beyond ``cap`` entries.
+    Words are enumerated shortest first, each length in prefix order, and
+    immediate back-tracking (a letter followed by its own inverse) is
+    pruned.  One proximity rule dedups: a word is dropped exactly when it is
+    closer than DEDUP_TOL (operator norm) to a word kept before it, so the
+    shorter word wins.  Only kept words are extended.  Raises NetTooLarge
+    beyond ``cap`` entries.
     """
     if max_len < 0:
         raise InvalidInput("max_len must be >= 0")
     n_ext = 2 * len(gate_set.labels)
     ext = quat(letter_table(gate_set)).T[:, None, :]
+    letters = np.arange(n_ext, dtype=np.int16)
 
-    quats = [np.array([[1.0, 0.0, 0.0, 0.0]])]
-    parent = [np.array([-1], dtype=np.int64)]
-    code = [np.array([-1], dtype=np.int16)]
-    keys = [_round_keys(quats[0])]
-    total = 1
-
-    frontier = np.array([0], dtype=np.int64)
+    quats = np.array([[1.0, 0.0, 0.0, 0.0]])
+    parent = np.array([-1], dtype=np.int64)
+    code = np.array([-1], dtype=np.int16)
+    start = 0
     for level in range(1, max_len + 1):
-        if len(frontier) == 0:
-            break
-        prev = np.concatenate(quats)[frontier]
-        prev_codes = np.concatenate(code)[frontier]
-        # Parent-major extension keeps enumeration in prefix order.
-        cand = np.stack(_qmul(prev.T[:, :, None], ext), axis=-1).reshape(-1, 4)
-        cand_parent = np.repeat(frontier, n_ext)
-        cand_code = np.tile(np.arange(n_ext, dtype=np.int16), len(frontier))
-        keep = prev_codes[:, None] != (np.arange(n_ext, dtype=np.int16) ^ 1)[None, :]
-        keep = keep.reshape(-1)
-        cand, cand_parent, cand_code = cand[keep], cand_parent[keep], cand_code[keep]
+        # Prefix order: candidate k extends entry start + k // n_ext by letter k % n_ext.
+        cand = np.stack(_qmul(quats[start:].T[:, :, None], ext), axis=-1).reshape(-1, 4)
+        fwd = np.flatnonzero(code[start:, None] != (letters ^ 1)[None, :])
+        keep = fwd[_dedup_level(quats, cand[fwd])]
+        if len(quats) + len(keep) > cap:
+            raise NetTooLarge(f"net would exceed the cap of {cap} entries at word length {level}")
+        parent = np.concatenate((parent, start + keep // n_ext))
+        code = np.concatenate((code, letters[keep % n_ext]))
+        start, quats = len(quats), np.concatenate((quats, cand[keep]))
 
-        acc_keys = np.concatenate(keys)
-        cand_keys = _round_keys(cand)
-        all_keys = np.concatenate([acc_keys, cand_keys])
-        _, first = np.unique(all_keys, return_index=True)
-        survive = np.zeros(len(all_keys), dtype=bool)
-        survive[first] = True
-        survive = survive[len(acc_keys):]
-        cand, cand_parent, cand_code, cand_keys = (
-            cand[survive], cand_parent[survive], cand_code[survive], cand_keys[survive],
-        )
-
-        if len(cand):
-            acc = np.concatenate(quats)
-            acc_s = _s_values(acc)
-            order = np.argsort(acc_s, kind="stable")
-            s_sorted = acc_s[order]
-            cand_s = _s_values(cand)
-            lo = np.searchsorted(s_sorted, cand_s - DEDUP_TOL)
-            hi = np.searchsorted(s_sorted, cand_s + DEDUP_TOL, side="right")
-            counts = hi - lo
-            hit = np.flatnonzero(counts > 0)
-            drop = np.zeros(len(cand), dtype=bool)
-            if len(hit):
-                reps = counts[hit]
-                pair_c = np.repeat(hit, reps)
-                offs = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-                pair_a = order[np.repeat(lo[hit], reps) + offs]
-                d2 = 2.0 - 2.0 * np.einsum("ij,ij->i", cand[pair_c], acc[pair_a])
-                close = d2 < DEDUP_TOL**2
-                if close.any():
-                    drop[np.unique(pair_c[close])] = True
-            if drop.any():
-                keep2 = ~drop
-                cand, cand_parent, cand_code, cand_keys = (
-                    cand[keep2], cand_parent[keep2], cand_code[keep2], cand_keys[keep2],
-                )
-
-        if total + len(cand) > cap:
-            raise NetTooLarge(
-                f"net would exceed the cap of {cap} entries at word length {level}"
-            )
-        start = total
-        total += len(cand)
-        quats.append(cand)
-        parent.append(cand_parent)
-        code.append(cand_code)
-        keys.append(cand_keys)
-        frontier = np.arange(start, total, dtype=np.int64)
-
-    return BasicNet(
-        gate_set, max_len, np.concatenate(quats), np.concatenate(parent), np.concatenate(code)
-    )
+    return BasicNet(gate_set, max_len, quats, parent, code)
 
 
 def _balanced_pair(delta) -> tuple[tuple, tuple]:
@@ -471,14 +454,12 @@ class _SkSession:
         self.memo: dict = {}
 
     def run(self, target: tuple, eps: float, depth: int):
-        best = None
+        # Each level returns the previous level's result or a strictly better one.
         for d in range(depth + 1):
             res = self._go(target, d)
-            if best is None or res[2] < best[2]:
-                best = res
-            if best[2] <= eps:
+            if res[2] <= eps:
                 break
-        return best
+        return res
 
     def _go(self, target: tuple, d: int):
         key = (target, d)
@@ -498,8 +479,7 @@ class _SkSession:
                 wa, ma, _ = self._go(a, d - 1)
                 wb, mb, _ = self._go(b, d - 1)
                 m = _qmul(_qmul(_qmul(_qmul(ma, mb), _qconj(ma)), _qconj(mb)), prev_m)
-                dot = target[0] * m[0] + target[1] * m[1] + target[2] * m[2] + target[3] * m[3]
-                e = math.sqrt(max(2.0 - 2.0 * dot, 0.0))
+                e = math.sqrt(max(2.0 - 2.0 * _qdot(target, m), 0.0))
                 if e < prev_e:
                     res = (np.concatenate((wa, wb, wa[::-1] ^ 1, wb[::-1] ^ 1, prev_w)), m, e)
                 else:

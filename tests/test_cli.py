@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -165,7 +166,9 @@ def test_compile_accuracy_not_reached(tmp_path, capsys):
         capsys,
     )
     assert code == 4
-    assert "block" in err
+    missed = re.findall(r"block \d+ at \(\d+,\d+\)", err)
+    assert missed
+    assert all(err.count(m) == 1 for m in missed)
 
 
 def test_compile_with_gate_set_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,18 +181,38 @@ def _unsampled_row(quats, value):
         lambda net: {"code": np.concatenate([net.code[:-1], [99]]).astype(np.int16)},
         lambda net: {"quats": _unsampled_row(net.quats, np.nan)},
         lambda net: {"quats": _unsampled_row(net.quats, 0.6)},
+        lambda net: {"quats": None},
+        lambda net: {"parent": None},
+        lambda net: {"code": None},
+        lambda net: {"max_word_length": None},
+        lambda net: {"gate_set": None},
+        lambda net: {"gate_set": np.array(["{not json"])},
+        lambda net: {"max_word_length": np.array([], dtype=np.int64)},
+        lambda net: {"quats": net.quats.astype(str)},
+        lambda net: {"parent": net.parent + 0.5},
     ],
-    ids=["quats_3_columns", "parent_short", "code_short", "code_99", "nan_row", "non_unit_row"],
+    ids=["quats_3_columns", "parent_short", "code_short", "code_99", "nan_row", "non_unit_row",
+         "no_quats", "no_parent", "no_code", "no_max_word_length", "no_gate_set",
+         "gate_set_not_json", "max_word_length_empty", "quats_strings", "parent_floats"],
 )
 def test_net_load_rejects_malformed_arrays(tmp_path, ht_set, change):
     net = build_net(ht_set, 6)
     path = tmp_path / "net.npz"
     net.save(path)
     with np.load(path) as z:
-        fields = {**dict(z), **change(net)}
-    np.savez(path, **fields)
+        fields = {**dict(z), **change(net)}  # a None value deletes the member
+    np.savez(path, **{k: v for k, v in fields.items() if v is not None})
     with pytest.raises(InvalidInput):
         BasicNet.load(path)
+
+
+def test_net_load_rejects_non_npz_bytes(tmp_path):
+    path = tmp_path / "net.npz"
+    path.write_bytes(b"these bytes are not an npz archive")
+    with pytest.raises(InvalidInput):
+        BasicNet.load(path)
+    with pytest.raises(OSError):
+        BasicNet.load(tmp_path / "missing.npz")
 
 
 def test_nearest_rejects_non_quaternions(ht_set):
@@ -331,6 +353,79 @@ def test_group_commutator_near_identity():
     a, b = map(su2.from_quat, sk._balanced_pair(su2.quat(delta)))
     comm = a @ b @ a.conj().T @ b.conj().T
     assert core.operator_norm(comm - delta) <= 1e-9
+
+
+def _greedy_net(gate_set, max_len):
+    """Brute-force reference for build_net: (quats, parent, code).
+
+    Words are enumerated shortest first, each length in prefix order, with
+    immediate back-tracking pruned; each is checked against every word kept
+    before it and dropped when 2 - 2 q . q' < DEDUP_TOL**2.
+    """
+    ext = [tuple(q) for q in su2.quat(sk.letter_table(gate_set)).tolist()]
+    kept = np.empty((1 + sum(len(ext) * (len(ext) - 1) ** j for j in range(max_len)), 4))
+    kept[0] = (1.0, 0.0, 0.0, 0.0)
+    parent, code = [-1], [-1]
+    start = 0
+    for _ in range(max_len):
+        stop = len(code)
+        for i in range(start, stop):
+            for c, e in enumerate(ext):
+                if code[i] == c ^ 1:
+                    continue
+                q = sk._qmul(tuple(kept[i].tolist()), e)
+                k = kept[:len(code)].T
+                d2 = 2.0 - 2.0 * (k[0] * q[0] + k[1] * q[1] + k[2] * q[2] + k[3] * q[3])
+                if d2.min() >= sk.DEDUP_TOL**2:
+                    kept[len(code)] = q
+                    parent.append(i)
+                    code.append(c)
+        start = stop
+    return kept[:len(code)], np.array(parent), np.array(code)
+
+
+def _axis_letter(axis, angle):
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return su2.from_quat(np.array([np.cos(angle / 2), *(np.sin(angle / 2) * n)]))
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_haar_letters = st.builds(
+    lambda k, seed: [haar_su2(np.random.default_rng([seed, i])) for i in range(k)],
+    st.integers(1, 3), _seeds,
+)
+# Rotations about one coordinate axis by multiples of pi/4: words repeat up to rounding.
+_axis_letters = st.builds(
+    lambda rot, ks: [rot(k * np.pi / 4) for k in ks],
+    st.sampled_from([su2.rot_x, su2.rot_y, su2.rot_z]),
+    st.lists(st.integers(1, 7), min_size=1, max_size=3),
+)
+# Letters within about 2e-6 of the identity: every word lies near DEDUP_TOL of the others.
+_near_identity_letters = st.builds(
+    lambda angles, seed: [_axis_letter(np.random.default_rng([seed, i]).standard_normal(3), a)
+                          for i, a in enumerate(angles)],
+    st.lists(st.floats(1e-6, 4e-6), min_size=1, max_size=3), _seeds,
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(_haar_letters, _axis_letters, _near_identity_letters), st.integers(0, 4))
+def test_build_net_matches_greedy_reference(mats, max_len):
+    gs = GateSet.from_letters([(f"l{i}", m) for i, m in enumerate(mats)])
+    net = build_net(gs, max_len)
+    quats, parent, code = _greedy_net(gs, max_len)
+    assert np.array_equal(net.quats, quats)
+    assert np.array_equal(net.parent, parent)
+    assert np.array_equal(net.code, code)
+
+
+def test_default_net_is_pinned(gate_set):
+    # The words of the default length-10 net, as the two-pass dedup that the
+    # one proximity rule replaced enumerated them.
+    net = build_net(gate_set, 10)
+    assert len(net) == 22_208
+    digest = hashlib.sha256(net.parent.astype("<i8").tobytes() + net.code.astype("<i2").tobytes())
+    assert digest.hexdigest() == "3e995ccc9d87c67dd3ac7752bc2d8f2db726cb92e797d9b9d270fc174d59f2ab"
 
 
 def test_build_net_deterministic(ht_set):
