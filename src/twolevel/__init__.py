@@ -9,7 +9,6 @@ enumeration of embedding strata.
 
 from .compiler import (
     CompilationResult,
-    LiftedLetter,
     LiftedWord,
     compile,
     compile_pure,

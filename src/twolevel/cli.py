@@ -225,7 +225,7 @@ _OPTION_DEFAULTS = {
     "tol": None,
     "gate_set": None,
     "net_max_len": config.DEFAULT_NET_MAX_LEN,
-    "sk_depth": config.DEFAULT_SK_DEPTH,
+    "sk_depth": sk.DEFAULT_SK_DEPTH,
     "format": "json",
 }
 

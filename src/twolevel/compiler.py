@@ -20,6 +20,7 @@ from .diagonal import DiagonalUnitary, phase_split, synth_special_diagonal
 from .errors import AccuracyNotReached, InvalidIndex, InvalidInput, NumericalFailure
 from .givens import Factorization, factor
 from .sk import (
+    DEFAULT_SK_DEPTH,
     BasicNet,
     GateSet,
     GateWord,
@@ -34,35 +35,13 @@ from .su2 import split_phase_u2
 _BUDGET_SHAVE = 1.0 - 1e-12
 
 
-@dataclass
-class LiftedLetter:
-    """One alphabet letter tagged with its coordinate two-plane (p, q)."""
-
-    label: str
-    inverted: bool
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if not (1 <= self.p < self.q):
-            raise InvalidIndex(f"require 1 <= p < q, got ({self.p}, {self.q})")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LiftedLetter":
-        try:
-            return cls(str(obj["label"]), bool(obj["inv"]), int(obj["p"]), int(obj["q"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed LiftedLetter JSON: {exc}") from exc
-
-
 class LiftedWord:
     """A word over the alphabet with the coordinate plane of each letter run.
 
     ``word`` holds all letters in order as int16 codes (a GateWord), and
     ``segments`` the ``(p, q, start, stop)`` of its maximal same-plane runs,
     in order, so that how a word was assembled never changes how it is
-    evaluated.  Iterating yields LiftedLetter objects, and a lifted word
-    compares equal to the list of them.
+    evaluated.
     """
 
     __slots__ = ("word", "segments")
@@ -76,13 +55,17 @@ class LiftedWord:
             self.segments.append((p, q, start, stop))
 
     @classmethod
-    def from_letters(cls, letters) -> "LiftedWord":
-        """Build from a sequence of LiftedLetter; a LiftedWord is returned as is."""
-        if isinstance(letters, LiftedWord):
-            return letters
-        letters = list(letters)
-        word = GateWord([(l.label, l.inverted) for l in letters])
-        return cls(word, [(l.p, l.q, i, i + 1) for i, l in enumerate(letters)])
+    def from_json(cls, items) -> "LiftedWord":
+        """Parse ``to_json``'s letter dicts: a str label, a bool inv, ints 1 <= p < q."""
+        try:
+            rows = [(d["label"], d["inv"], d["p"], d["q"]) for d in items]
+        except (KeyError, TypeError) as exc:
+            raise InvalidInput(f"malformed lifted letter: {exc!r}") from exc
+        for i, (label, inv, p, q) in enumerate(rows):
+            if not (isinstance(label, str) and isinstance(inv, bool)
+                    and type(p) is type(q) is int and 1 <= p < q):
+                raise InvalidInput(f"malformed lifted letter {i}: {rows[i]}")
+        return cls(GateWord(r[:2] for r in rows), [(*r[2:], i, i + 1) for i, r in enumerate(rows)])
 
     @classmethod
     def join(cls, parts) -> "LiftedWord":
@@ -95,16 +78,12 @@ class LiftedWord:
     def __len__(self) -> int:
         return len(self.word)
 
-    def __iter__(self):
+    @property
+    def letters(self) -> tuple:
+        """The letters in order as ``(label, inverted, p, q)`` tuples."""
         letters = self.word.letters
-        for p, q, start, stop in self.segments:
-            for label, inv in letters[start:stop]:
-                yield LiftedLetter(label, inv, p, q)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (LiftedWord, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        return tuple((label, inv, p, q) for p, q, start, stop in self.segments
+                     for label, inv in letters[start:stop])
 
     def to_json(self) -> list:
         codes, labels, out = self.word.codes.tolist(), self.word.labels, []
@@ -116,11 +95,7 @@ class LiftedWord:
 
 @dataclass
 class CompilationResult:
-    """Lifted word, diagonal remainder, global phase, and error accounting.
-
-    ``word`` may be given as a list of LiftedLetter; it is stored as a
-    LiftedWord.
-    """
+    """Lifted word, diagonal remainder, global phase, and error accounting."""
 
     dim: int
     word: LiftedWord = field(default_factory=LiftedWord)
@@ -129,13 +104,15 @@ class CompilationResult:
     requested_eps: float = 0.0
     certified_bound: float = 0.0
     achieved_error: float = 0.0
-    word_length: int = 0
     block_count: int = 0
 
     def __post_init__(self):
         if self.diagonal is None:
             self.diagonal = DiagonalUnitary.identity(self.dim)
-        self.word = LiftedWord.from_letters(self.word)
+
+    @property
+    def word_length(self) -> int:
+        return len(self.word)
 
     def to_json(self) -> dict:
         return {
@@ -146,7 +123,7 @@ class CompilationResult:
             "requested_eps": float(self.requested_eps),
             "certified_bound": float(self.certified_bound),
             "achieved_error": float(self.achieved_error),
-            "word_length": int(self.word_length),
+            "word_length": len(self.word),
             "block_count": int(self.block_count),
         }
 
@@ -157,23 +134,23 @@ class CompilationResult:
         try:
             dim = int(obj["dim"])
             diagonal = DiagonalUnitary.from_entries([complex(re, im) for re, im in obj["diagonal"]])
+            word_length = int(obj["word_length"])
             result = cls(
                 dim=dim,
-                word=[LiftedLetter.from_json(l) for l in obj["word"]],
+                word=LiftedWord.from_json(obj["word"]),
                 diagonal=diagonal,
                 global_phase=float(obj["global_phase"]),
                 requested_eps=float(obj["requested_eps"]),
                 certified_bound=float(obj["certified_bound"]),
                 achieved_error=float(obj["achieved_error"]),
-                word_length=int(obj["word_length"]),
                 block_count=int(obj["block_count"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed CompilationResult JSON: {exc}") from exc
         if diagonal.dim != dim:
             raise InvalidInput(f"diagonal has {diagonal.dim} entries for dim {dim}")
-        if result.word_length != len(result.word):
-            raise InvalidInput(f"word_length {result.word_length} != {len(result.word)} letters")
+        if word_length != len(result.word):
+            raise InvalidInput(f"word_length {word_length} != {len(result.word)} letters")
         return result
 
 
@@ -280,15 +257,13 @@ def _compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int,
             g_words, g_errors = _sk_blocks(gamma_blocks, budget * _BUDGET_SHAVE, net, depth)
             blocks, words, errors = blocks + gamma_blocks, words + g_words, errors + g_errors
         diagonal = DiagonalUnitary.identity(fact.n_dim)
-    word = LiftedWord.join([lift_word(w, p, q) for (p, q, _), w in zip(blocks, words)])
     result = CompilationResult(
         dim=fact.n_dim,
-        word=word,
+        word=LiftedWord.join([lift_word(w, p, q) for (p, q, _), w in zip(blocks, words)]),
         diagonal=diagonal,
         global_phase=theta,
         requested_eps=eps,
         certified_bound=float(sum(errors)),
-        word_length=len(word),
         block_count=k,
     )
     result.achieved_error = verify(u, result, gate_set)
@@ -301,7 +276,8 @@ def _compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int,
     return result
 
 
-def compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int = 5) -> CompilationResult:
+def compile(u, eps: float, gate_set: GateSet, net: BasicNet,
+            depth: int = DEFAULT_SK_DEPTH) -> CompilationResult:
     """Compile ``u`` to a lifted word and diagonal with ||U - W D|| <= eps.
 
     The per-block budget is eps/K for the K emitted factors; blocks already
@@ -312,7 +288,8 @@ def compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int = 5) -> 
     return _compile(u, eps, gate_set, net, depth, pure=False)
 
 
-def compile_pure(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int = 5) -> CompilationResult:
+def compile_pure(u, eps: float, gate_set: GateSet, net: BasicNet,
+                 depth: int = DEFAULT_SK_DEPTH) -> CompilationResult:
     """Compile to a pure word and global phase: ||U - e^{i theta} W|| <= eps.
 
     Half of eps covers the Givens blocks, half the diagonal synthesis: the
@@ -323,14 +300,12 @@ def compile_pure(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int = 5
     return _compile(u, eps, gate_set, net, depth, pure=True)
 
 
-def evaluate_lifted(word, gate_set: GateSet, n: int) -> np.ndarray:
+def evaluate_lifted(word: LiftedWord, gate_set: GateSet, n: int) -> np.ndarray:
     """Left-to-right product of embedded letters as a dense N x N matrix.
 
     Each same-plane run is multiplied out as a batched 2x2 product, then
-    applied to the plane's two columns in one update.  ``word`` is a
-    LiftedWord or a sequence of LiftedLetter.
+    applied to the plane's two columns in one update.
     """
-    word = LiftedWord.from_letters(word)
     mats = letter_table(gate_set)[word.word.codes_for(gate_set)]
     m = np.eye(n, dtype=np.complex128)
     for p, q, start, stop in word.segments:

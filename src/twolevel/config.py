@@ -11,7 +11,6 @@ from .sk import GateSet
 from .su2 import rot_x, rot_y
 
 DEFAULT_NET_MAX_LEN = 12
-DEFAULT_SK_DEPTH = 5
 CACHE_ENV_VAR = "TWOLEVEL_CACHE_DIR"
 
 

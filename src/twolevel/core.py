@@ -21,10 +21,10 @@ PAULI = {
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite complex 2-d array."""
+    """Coerce to a finite, non-empty complex 2-d array."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise InvalidInput(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != 2 or 0 in m.shape:
+        raise InvalidInput(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInput("matrix has non-finite entries")
     return m

@@ -33,6 +33,7 @@ from .su2 import SU2_DET_TOL, det2, quat, su2_distance
 DEDUP_TOL = 1e-6
 
 DEFAULT_NET_CAP = 2_000_000
+DEFAULT_SK_DEPTH = 5
 
 #: Squared distances within this of the minimum are a tie in ``BasicNet.nearest``.
 TIE_TOL = 1e-14
@@ -96,9 +97,10 @@ class GateWord:
     """A word over the alphabet: sequence of (label, inverted) pairs.
 
     Stored compactly as int16 letter codes ``2 * i + inv`` into the label
-    table ``labels`` (the alphabet's labels for words SK builds, the labels
-    in order of first use for words built from letters), so that inversion
-    and concatenation are array operations.
+    table ``labels``, so that inversion and concatenation are array
+    operations.  Words the package builds use their gate set's labels, words
+    built from letters their labels in order of first use; ``codes_for``
+    maps either onto a gate set's letter order.
     """
 
     __slots__ = ("codes", "labels")
@@ -131,12 +133,12 @@ class GateWord:
 
     @classmethod
     def concat(cls, words) -> "GateWord":
-        """Concatenation, by array when the non-empty words share one label table."""
+        """Concatenation of words that share one label table (empty words excepted)."""
         words = [w for w in words if len(w)]
         if not words:
             return cls()
         if any(w.labels != words[0].labels for w in words):
-            return cls([l for w in words for l in w.letters])
+            raise InvalidInput("cannot concatenate words over different label tables")
         return cls.from_codes(np.concatenate([w.codes for w in words]), words[0].labels)
 
     def codes_for(self, gate_set: GateSet) -> np.ndarray:
@@ -488,7 +490,7 @@ class _SkSession:
         return res
 
 
-def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = 5):
+def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = DEFAULT_SK_DEPTH):
     """Word over the net's alphabet within ``eps`` of ``v`` in operator norm.
 
     Iteratively deepens the commutator recursion up to ``depth``, stopping

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twolevel
-from twolevel import cli, compiler, config, core, sk
+from twolevel import cli, compiler, core, sk
 from twolevel.diagonal import PhaseProgram
 from twolevel.givens import Factorization
 
@@ -350,7 +350,7 @@ def test_compile_stdout_is_compact_json_of_the_result(tmp_path, capsys, gate_set
     code, out, _ = run_cli(["compile", f, "--epsilon", "0.2", "--net-max-len", "8"], capsys)
     assert code == 0
     result = compiler.compile(u, 0.2, gate_set, sk.build_net(gate_set, 8),
-                              depth=config.DEFAULT_SK_DEPTH)
+                              depth=sk.DEFAULT_SK_DEPTH)
     assert out == json.dumps(result.to_json()) + "\n"
     assert out.count("\n") == 1
 

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from twolevel import compiler, core
-from twolevel.compiler import (
-    CompilationResult,
-    LiftedLetter,
-    compile_pure,
-    lift_word,
-    verify,
-)
+from twolevel.compiler import CompilationResult, compile_pure, lift_word, verify
 from twolevel.embeddings import embed_coordinate
 from twolevel.errors import AccuracyNotReached, InvalidInput
+from twolevel.givens import factor
 from twolevel.sk import GateWord, build_net, evaluate_word, sk_approximate_with_error
 
-from util import haar_su2, haar_unitary, su_normalize
+from util import haar_su2, haar_unitary, lifted, su_normalize
 
 tl_compile = compiler.compile
 
@@ -22,17 +17,17 @@ def dense_eval_oracle(result, gate_set):
     """Independent evaluation: full embedded matmuls, then diagonal and phase."""
     n = result.dim
     m = np.eye(n, dtype=complex)
-    for letter in result.word:
-        x = gate_set.matrices[gate_set.index_of(letter.label)]
-        if letter.inverted:
+    for label, inverted, p, q in result.word.letters:
+        x = gate_set.matrices[gate_set.index_of(label)]
+        if inverted:
             x = x.conj().T
-        m = m @ embed_coordinate(letter.p, letter.q, x, n)
+        m = m @ embed_coordinate(p, q, x, n)
     return np.exp(1j * result.global_phase) * m @ np.diag(result.diagonal.entries)
 
 
 def test_compile_identity(gate_set, net12):
     r = tl_compile(np.eye(4), 0.1, gate_set, net12)
-    assert r.word == []
+    assert r.word.letters == ()
     assert np.allclose(r.diagonal.entries, 1.0)
     assert r.certified_bound == 0.0
     assert r.achieved_error <= 1e-12
@@ -43,7 +38,7 @@ def test_compile_diagonal_target(gate_set, net12):
     rng = np.random.default_rng(0)
     d = np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
     r = tl_compile(np.diag(d), 0.1, gate_set, net12)
-    assert r.word == []
+    assert r.word.letters == ()
     assert r.certified_bound == 0.0
     assert np.abs(r.diagonal.entries - d).max() <= 1e-12
     assert r.achieved_error <= 1e-10
@@ -97,14 +92,14 @@ def test_compile_pure_diagonal_target(gate_set, net12):
     r = compile_pure(np.diag(d), 0.1, gate_set, net12)
     assert r.block_count == 0
     assert len(r.word) > 0  # only lifted gamma approximants
-    assert all(l.p == 1 for l in r.word)
+    assert all(p == 1 for _, _, p, _ in r.word.letters)
     assert r.achieved_error <= 0.1
 
 
 def test_compile_pure_scalar(gate_set, net12):
     alpha = 0.4
     r = compile_pure(np.exp(1j * alpha) * np.eye(4), 0.3, gate_set, net12)
-    assert r.word == []
+    assert r.word.letters == ()
     assert abs(r.global_phase - alpha) <= 1e-12
     assert r.achieved_error <= 1e-10
 
@@ -114,6 +109,16 @@ def test_compile_rejects_bad_eps(gate_set, net12):
         tl_compile(np.eye(2), 0.0, gate_set, net12)
     with pytest.raises(InvalidInput):
         compile_pure(np.eye(2), 1.0, gate_set, net12)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+def test_empty_matrix_is_invalid_input(gate_set, net8, shape):
+    with pytest.raises(InvalidInput):
+        tl_compile(np.zeros(shape), 0.1, gate_set, net8)
+    with pytest.raises(InvalidInput):
+        compile_pure(np.zeros(shape), 0.1, gate_set, net8)
+    with pytest.raises(InvalidInput):
+        factor(np.zeros(shape))
 
 
 @pytest.mark.parametrize("pure", [False, True])
@@ -154,7 +159,7 @@ def test_compile_accuracy_failure_reports_blocks(gate_set):
 
 
 def test_lift_word_empty():
-    assert lift_word(GateWord(), 1, 2) == []
+    assert lift_word(GateWord(), 1, 2).letters == ()
 
 
 def test_lift_word_single_letter(gate_set):
@@ -191,13 +196,10 @@ def test_verify_perturbed_word_is_worse(gate_set, net12):
     u = haar_unitary(4, rng)
     r = tl_compile(u, 0.1, gate_set, net12)
     base = verify(u, r, gate_set)
-    flipped = [
-        LiftedLetter(l.label, not l.inverted if i == 0 else l.inverted, l.p, l.q)
-        for i, l in enumerate(r.word)
-    ]
+    (label, inverted, p, q), *rest = r.word.letters
     perturbed = CompilationResult(
         dim=r.dim,
-        word=flipped,
+        word=lifted([(label, not inverted, p, q), *rest]),
         diagonal=r.diagonal,
         global_phase=r.global_phase,
     )
@@ -220,7 +222,7 @@ def test_compile_skips_near_identity_blocks(gate_set, net12):
     u = embed_coordinate(1, 2, su2.rot_x(0.001), 4)
     r = tl_compile(u, 0.1, gate_set, net12)
     assert r.block_count == 1
-    assert r.word == []  # block within budget of the identity
+    assert r.word.letters == ()  # block within budget of the identity
     assert 0.0 < r.certified_bound <= 0.001
     assert r.achieved_error <= r.certified_bound + 1e-9
 

@@ -76,8 +76,26 @@ def off_unit_circle(obj):
     obj["diagonal"][1] = [1.5 * re, 1.5 * im]
 
 
+def inv_as_string(obj):
+    obj["word"][0]["inv"] = "false"
+
+
+def plane_as_float(obj):
+    obj["word"][0]["p"] += 0.9
+
+
+def plane_as_bool(obj):
+    obj["word"][0]["p"] = True
+
+
+def label_not_str(obj):
+    obj["word"][0]["label"] = None
+
+
 MALFORMED = [(scalar_result, cut_diagonal), (word_result, wrong_word_length),
-             (scalar_result, off_unit_circle), (word_result, off_unit_circle)]
+             (scalar_result, off_unit_circle), (word_result, off_unit_circle),
+             (word_result, inv_as_string), (word_result, plane_as_float),
+             (word_result, plane_as_bool), (word_result, label_not_str)]
 
 
 @pytest.mark.parametrize("make, spoil", MALFORMED)

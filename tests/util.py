@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from twolevel.compiler import LiftedWord
+
 
 def haar_unitary(n, rng):
     """Haar-ish random unitary via QR of a complex Gaussian."""
@@ -22,6 +24,11 @@ def haar_su2(rng):
         [[q[0] - 1j * q[3], -q[2] - 1j * q[1]],
          [q[2] - 1j * q[1], q[0] + 1j * q[3]]]
     )
+
+
+def lifted(letters):
+    """The LiftedWord of ``(label, inv, p, q)`` letters, parsed by ``LiftedWord.from_json``."""
+    return LiftedWord.from_json([{"label": l, "inv": i, "p": p, "q": q} for l, i, p, q in letters])
 
 
 def random_frame(n, rng):
