@@ -9,11 +9,8 @@ one under --special, 7 non-diagonal input to diag.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -68,34 +65,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _net_for(gate_set: sk.GateSet, max_len: int) -> sk.BasicNet:
-    """Build or load the cached net for (gate set, max_len, DEDUP_TOL, NET_FORMAT)."""
-    canon = (json.dumps(gate_set.to_json(), sort_keys=True)
-             + f"|{max_len}|{sk.DEDUP_TOL!r}|{sk.BasicNet.NET_FORMAT}")
-    digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    cache = config.cache_dir()
-    path = cache / f"net_{digest}.npz"
-    if path.exists():
-        try:
-            return sk.BasicNet.load(path)
-        except Exception as exc:  # stale or corrupt cache: rebuild
-            print(f"warning: ignoring bad net cache {path}: {exc}", file=sys.stderr)
-    net = sk.build_net(gate_set, max_len)
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".npz")
-        os.close(fd)
-        try:
-            net.save(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        print(f"warning: could not cache net: {exc}", file=sys.stderr)
-    return net
-
-
 def cmd_factor(args) -> None:
     u = _load_matrix(args.matrix)
     try:
@@ -119,7 +88,7 @@ def cmd_compile(args) -> None:
     gate_set = _load_gate_set(args.gate_set)
     if not (0.0 < args.epsilon < 1.0):
         _fail(EXIT_PARSE, f"--epsilon must lie in (0, 1), got {args.epsilon}")
-    net = _net_for(gate_set, args.net_max_len)
+    net = config.cached_net(gate_set, args.net_max_len)
     run = compiler.compile_pure if args.pure else compiler.compile
     try:
         result = run(u, args.epsilon, gate_set, net, depth=args.sk_depth)

@@ -1,12 +1,12 @@
-"""End-to-end compilation: factor, per-block phase split, per-block SK, lift.
+"""End-to-end compilation: factor, one SU(2) block table, per-block SK, lift.
 
 The pipeline factors the target exactly into coordinate two-level blocks,
-normalizes each block to SU(2) by shuttling determinant phases into the
-trailing diagonal, approximates each block over the finite alphabet at
-budget eps/K, and lifts the words through the coordinate embeddings.  The
-error certificate is the telescoping sum of per-block distances, which the
-isometry of coordinate embeddings makes valid in the ambient operator
-norm; an independent verifier recomputes the achieved error from scratch.
+which are special unitary as factored, approximates each block over the
+finite alphabet within its budget (eps/K for K blocks), and lifts the words
+through the coordinate embeddings.  The error certificate is the
+telescoping sum of per-block distances, which the isometry of coordinate
+embeddings makes valid in the ambient operator norm; an independent
+verifier recomputes the achieved error from scratch.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ from .sk import (
     letter_table,
     sk_approximate_with_error,
 )
-from .su2 import split_phase_u2
 
 #: Relative shave on per-block budgets so the float sum of per-block errors
 #: can never creep past the requested eps.
 _BUDGET_SHAVE = 1.0 - 1e-12
+
+#: The JSON type of each scalar of a result (a bool is neither).
+_RESULT_SCALARS = dict.fromkeys(("dim", "word_length", "block_count"), int) | dict.fromkeys(
+    ("global_phase", "requested_eps", "certified_bound", "achieved_error"), (int, float))
 
 
 class LiftedWord:
@@ -129,28 +132,30 @@ class CompilationResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompilationResult":
-        """Parse a result, rejecting a diagonal of the wrong size or off the
-        unit circle and a ``word_length`` that disagrees with the word."""
+        """Parse a result, rejecting a scalar of another JSON type than
+        ``to_json`` writes, a diagonal of the wrong size or off the unit
+        circle and a ``word_length`` that disagrees with the word."""
         try:
-            dim = int(obj["dim"])
+            for key, kind in _RESULT_SCALARS.items():
+                if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+                    raise InvalidInput(f"{key} has the wrong JSON type: {obj[key]!r}")
             diagonal = DiagonalUnitary.from_entries([complex(re, im) for re, im in obj["diagonal"]])
-            word_length = int(obj["word_length"])
             result = cls(
-                dim=dim,
+                dim=obj["dim"],
                 word=LiftedWord.from_json(obj["word"]),
                 diagonal=diagonal,
                 global_phase=float(obj["global_phase"]),
                 requested_eps=float(obj["requested_eps"]),
                 certified_bound=float(obj["certified_bound"]),
                 achieved_error=float(obj["achieved_error"]),
-                block_count=int(obj["block_count"]),
+                block_count=obj["block_count"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed CompilationResult JSON: {exc}") from exc
-        if diagonal.dim != dim:
-            raise InvalidInput(f"diagonal has {diagonal.dim} entries for dim {dim}")
-        if word_length != len(result.word):
-            raise InvalidInput(f"word_length {word_length} != {len(result.word)} letters")
+        if diagonal.dim != result.dim:
+            raise InvalidInput(f"diagonal has {diagonal.dim} entries for dim {result.dim}")
+        if obj["word_length"] != len(result.word):
+            raise InvalidInput(f"word_length {obj['word_length']} != {len(result.word)} letters")
         return result
 
 
@@ -161,26 +166,26 @@ def lift_word(word: GateWord, p: int, q: int) -> LiftedWord:
     return LiftedWord(word, [(p, q, 0, len(word))] if len(word) else [])
 
 
-def _specialize_blocks(fact: Factorization) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
-    """Normalize factor blocks to SU(2), shuttling det phases into the diagonal.
+def _specialize_blocks(fact: Factorization, eps: float, pure: bool):
+    """The compile's SU(2) block table and the part that stays exact.
 
-    Moving a two-level phase past downstream factors conjugates their
-    blocks by the accumulated diagonal restricted to (p, q); determinants
-    are unchanged, so the emitted blocks are special unitary.
+    Returns ``(blocks, diagonal, global_phase)`` with one ``(p, q, su2_block,
+    budget)`` row per block to approximate.  The K Givens blocks, special
+    unitary as factored, get eps/K, or (eps/2)/K when pure.  When pure, the
+    G gamma_1j rotations of the diagonal's special part follow at (eps/2)/G,
+    or eps/G when K = 0, and the diagonal left is the identity.
     """
-    n = fact.n_dim
-    acc = np.ones(n, dtype=np.complex128)
-    blocks: list[tuple[int, int, np.ndarray]] = []
-    for f in fact.factors:
-        i, j = f.p - 1, f.q - 1
-        theta, s = split_phase_u2(f.block)
-        d2 = np.array([acc[i], acc[j]])
-        s = (d2[:, None] * s) * np.conj(d2)[None, :]
-        blocks.append((f.p, f.q, s))
-        ph = np.exp(1.0j * theta)
-        acc[i] *= ph
-        acc[j] *= ph
-    return blocks, acc * fact.diagonal
+    k = len(fact.factors)
+    share = eps / 2.0 if pure else eps
+    blocks = [(f.p, f.q, f.block, share / k * _BUDGET_SHAVE) for f in fact.factors]
+    diagonal = DiagonalUnitary(np.angle(fact.diagonal))
+    if not pure:
+        return blocks, diagonal, 0.0
+    theta, d0 = phase_split(diagonal)
+    rotations = synth_special_diagonal(d0).rotations
+    blocks += [(1, j, np.diag([np.exp(1.0j * t / 2.0), np.exp(-1.0j * t / 2.0)]),
+                (share if k else eps) / len(rotations) * _BUDGET_SHAVE) for j, t in rotations]
+    return blocks, DiagonalUnitary.identity(fact.n_dim), theta
 
 
 def _check_alphabet(gate_set: GateSet, net: BasicNet) -> None:
@@ -192,24 +197,23 @@ def _check_alphabet(gate_set: GateSet, net: BasicNet) -> None:
         raise InvalidInput("net was built from a different gate set")
 
 
-def _sk_blocks(blocks, budget_each: float, net: BasicNet, depth: int):
-    """SK-approximate each SU(2) block; returns (words, errors) or raises with a report."""
+def _sk_blocks(blocks, net: BasicNet, depth: int):
+    """SK-approximate each row of the block table within its budget; returns
+    (words, errors), or raises a report that numbers each missed block by its row."""
     eye = np.eye(2)
     words: list[GateWord] = []
     errors: list[float] = []
     failures = []
-    for k, (p, q, s) in enumerate(blocks):
+    for k, (p, q, s, budget) in enumerate(blocks):
         dist_to_id = operator_norm(s - eye)
-        if dist_to_id <= budget_each:
-            words.append(GateWord())
-            errors.append(dist_to_id)
-            continue
         try:
-            w, err = sk_approximate_with_error(s, budget_each, net, depth)
-            words.append(w)
-            errors.append(err)
+            w, err = ((GateWord(), dist_to_id) if dist_to_id <= budget
+                      else sk_approximate_with_error(s, budget, net, depth))
         except AccuracyNotReached as exc:
-            failures.append((k, p, q, budget_each, exc.achieved))
+            failures.append((k, p, q, budget, exc.achieved))
+            continue
+        words.append(w)
+        errors.append(err)
     if failures:
         detail = "; ".join(
             f"block {k} at ({p},{q}): achieved {a:.3e} > budget {b:.3e}"
@@ -225,8 +229,7 @@ def _compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int,
              pure: bool) -> CompilationResult:
     """The one compile pipeline; ``pure`` absorbs the diagonal into the word.
 
-    Budgets: eps/K per Givens block, or (eps/2)/K when pure; the G gamma
-    blocks of a pure compile get (eps/2)/G, or eps/G when K = 0.  The
+    One SK pass approximates the block table of ``_specialize_blocks``.  The
     certificate ``achieved <= certified <= eps`` is checked before returning.
     """
     u = as_matrix(u)
@@ -236,35 +239,16 @@ def _compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int,
         raise InvalidInput("depth must be >= 0")
     _check_alphabet(gate_set, net)
     fact = factor(u)
-    blocks, diag = _specialize_blocks(fact)
-    k = len(blocks)
-    words: list[GateWord] = []
-    errors: list[float] = []
-    if k:
-        words, errors = _sk_blocks(blocks, (eps / 2.0 if pure else eps) / k * _BUDGET_SHAVE,
-                                   net, depth)
-    diagonal = DiagonalUnitary(np.angle(diag))
-    theta = 0.0
-    if pure:
-        theta, d0 = phase_split(diagonal)
-        prog = synth_special_diagonal(d0)
-        gamma_blocks = [
-            (1, j, np.diag([np.exp(1.0j * t / 2.0), np.exp(-1.0j * t / 2.0)]))
-            for j, t in prog.rotations
-        ]
-        if gamma_blocks:
-            budget = (eps / 2.0 if k else eps) / len(gamma_blocks)
-            g_words, g_errors = _sk_blocks(gamma_blocks, budget * _BUDGET_SHAVE, net, depth)
-            blocks, words, errors = blocks + gamma_blocks, words + g_words, errors + g_errors
-        diagonal = DiagonalUnitary.identity(fact.n_dim)
+    blocks, diagonal, theta = _specialize_blocks(fact, eps, pure)
+    words, errors = _sk_blocks(blocks, net, depth)
     result = CompilationResult(
         dim=fact.n_dim,
-        word=LiftedWord.join([lift_word(w, p, q) for (p, q, _), w in zip(blocks, words)]),
+        word=LiftedWord.join([lift_word(w, p, q) for (p, q, _, _), w in zip(blocks, words)]),
         diagonal=diagonal,
         global_phase=theta,
         requested_eps=eps,
         certified_bound=float(sum(errors)),
-        block_count=k,
+        block_count=len(fact.factors),
     )
     result.achieved_error = verify(u, result, gate_set)
     if not (result.achieved_error <= result.certified_bound + scaled_tol(result.dim)
@@ -292,10 +276,10 @@ def compile_pure(u, eps: float, gate_set: GateSet, net: BasicNet,
                  depth: int = DEFAULT_SK_DEPTH) -> CompilationResult:
     """Compile to a pure word and global phase: ||U - e^{i theta} W|| <= eps.
 
-    Half of eps covers the Givens blocks, half the diagonal synthesis: the
-    diagonal remainder is split off its global phase, expressed through
-    gamma_1j rotations, and each rotation's SU(2) block is SK-approximated
-    and lifted on the (1, j) plane.
+    The diagonal remainder is split off its global phase and expressed
+    through gamma_1j rotations, whose SU(2) blocks join the Givens blocks in
+    the one block table: half of eps covers the Givens blocks, half the
+    rotations, each lifted on its (1, j) plane.
     """
     return _compile(u, eps, gate_set, net, depth, pure=True)
 

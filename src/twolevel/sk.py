@@ -49,6 +49,8 @@ class GateSet:
     def __post_init__(self):
         if len(self.labels) == 0:
             raise InvalidInput("gate set must have at least one letter")
+        if not all(isinstance(lab, str) for lab in self.labels):
+            raise InvalidInput(f"gate-set labels must be str, got {self.labels!r}")
         if len(self.labels) != len(self.matrices):
             raise InvalidInput("one matrix per label required")
         if len(set(self.labels)) != len(self.labels):
@@ -67,8 +69,8 @@ class GateSet:
 
     @classmethod
     def from_letters(cls, letters) -> "GateSet":
-        labels, mats = zip(*letters)
-        return cls(tuple(str(s) for s in labels), tuple(mats))
+        labels, mats = tuple(zip(*letters)) or ((), ())
+        return cls(labels, mats)
 
     def index_of(self, label: str) -> int:
         try:
@@ -87,7 +89,7 @@ class GateSet:
     @classmethod
     def from_json(cls, obj: dict) -> "GateSet":
         try:
-            letters = [(str(e["label"]), matrix_from_json(e["matrix"])) for e in obj["letters"]]
+            letters = [(e["label"], matrix_from_json(e["matrix"])) for e in obj["letters"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed GateSet JSON: {exc}") from exc
         return cls.from_letters(letters)

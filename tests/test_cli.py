@@ -195,6 +195,19 @@ def test_compile_with_gate_set_file(tmp_path, capsys):
     assert {l["label"] for l in obj["word"]} <= {"h", "t"}
 
 
+@pytest.mark.parametrize("letters", [[], [{"label": None}], [{"label": 7}]])
+def test_compile_rejects_a_gate_set_without_str_labels(tmp_path, capsys, letters):
+    h = -1j * (core.PAULI["x"] + core.PAULI["z"]) / np.sqrt(2)
+    gs_path = tmp_path / "gates.json"
+    gs_path.write_text(json.dumps(
+        {"letters": [{**e, "matrix": core.matrix_to_json(h)} for e in letters]}))
+    f = write_matrix(tmp_path / "m.json", np.eye(2))
+    code, out, err = run_cli(["compile", f, "--epsilon", "0.2", "--gate-set", str(gs_path)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
 def test_factor_output_reparses(tmp_path, capsys):
     rng = np.random.default_rng(9)
     u = haar_unitary(4, rng)

@@ -156,6 +156,16 @@ def test_compile_accuracy_failure_reports_blocks(gate_set):
     assert blocks
     for k, p, q, budget, achieved in blocks:
         assert achieved > budget
+    # A pure compile reports every missed block, Givens and gamma alike, each
+    # by its row in the one block table: the gamma rows follow the K Givens rows.
+    u = haar_unitary(3, np.random.default_rng(0))
+    with pytest.raises(AccuracyNotReached) as exc_info:
+        compile_pure(u, 0.3, gate_set, build_net(gate_set, 2), depth=0)
+    k = len(factor(u).factors)
+    rows = [b[0] for b in exc_info.value.blocks]
+    assert len(set(rows)) == len(rows)
+    assert min(rows) < k <= max(rows)
+    assert all(p == 1 for row, p, q, _, _ in exc_info.value.blocks if row >= k)
 
 
 def test_lift_word_empty():

@@ -1,4 +1,4 @@
-"""Property tests of the Givens factorization and the SU(2) block specialization.
+"""Property tests of the Givens factorization and the SU(2) block table.
 
 Inputs are unitaries of dims 1..8 of four kinds: Haar-random, phased
 permutations, diagonals and the identity.
@@ -47,12 +47,18 @@ def test_factor_reconstruct_round_trip(u):
 
 
 @settings(max_examples=150, deadline=None)
-@given(unitaries)
-def test_specialized_blocks_are_special_and_reconstruct(u):
+@given(unitaries, st.sampled_from((0.1, 1e-3)), st.booleans())
+def test_specialized_blocks_are_special_and_reconstruct(u, eps, pure):
     n = u.shape[0]
-    blocks, diag = _specialize_blocks(factor(u))
+    blocks, diagonal, theta = _specialize_blocks(factor(u), eps, pure)
     m = np.eye(n, dtype=complex)
-    for p, q, s in blocks:
+    for p, q, s, budget in blocks:
         assert abs(det2(s) - 1.0) <= 1e-12
+        assert 0.0 < budget
         m = m @ embed_coordinate(p, q, s, n)
-    assert operator_norm(m @ np.diag(diag) - u) <= 1e-12 * n
+    assert sum(budget for *_, budget in blocks) <= eps
+    if pure:
+        assert np.array_equal(diagonal.angles, np.zeros(n))
+    else:
+        assert theta == 0.0
+    assert operator_norm(np.exp(1j * theta) * m @ diagonal.matrix() - u) <= 1e-12 * n

@@ -34,13 +34,16 @@ def test_compile_rejects_an_achieved_error_above_the_certificate(gate_set, net12
 def test_compile_rejects_a_certificate_above_eps(gate_set, net12, monkeypatch):
     sk_blocks = compiler._sk_blocks
 
-    def inflated(blocks, budget_each, net, depth):
-        words, errors = sk_blocks(blocks, budget_each, net, depth)
+    def inflated(blocks, net, depth):
+        words, errors = sk_blocks(blocks, net, depth)
         return words, [10.0 * e for e in errors]
 
     monkeypatch.setattr(compiler, "_sk_blocks", inflated)
+    u = haar_unitary(3, np.random.default_rng(1))
     with pytest.raises(NumericalFailure):
-        compiler.compile(haar_unitary(3, np.random.default_rng(1)), 0.1, gate_set, net12)
+        compiler.compile(u, 0.1, gate_set, net12)
+    with pytest.raises(NumericalFailure):
+        compiler.compile_pure(u, 0.1, gate_set, net12)
 
 
 def test_cli_compile_exits_2_when_the_certificate_fails(tmp_path, capsys, monkeypatch):
@@ -92,10 +95,33 @@ def label_not_str(obj):
     obj["word"][0]["label"] = None
 
 
+def phase_as_string(obj):
+    obj["global_phase"] = "0.5"
+
+
+def phase_as_bool(obj):
+    obj["global_phase"] = True
+
+
+def dim_as_float(obj):
+    obj["dim"] += 0.9
+
+
+def block_count_as_string(obj):
+    obj["block_count"] = str(obj["block_count"])
+
+
+def word_length_as_float(obj):
+    obj["word_length"] = float(obj["word_length"])
+
+
 MALFORMED = [(scalar_result, cut_diagonal), (word_result, wrong_word_length),
              (scalar_result, off_unit_circle), (word_result, off_unit_circle),
              (word_result, inv_as_string), (word_result, plane_as_float),
-             (word_result, plane_as_bool), (word_result, label_not_str)]
+             (word_result, plane_as_bool), (word_result, label_not_str),
+             (word_result, phase_as_string), (word_result, phase_as_bool),
+             (word_result, dim_as_float), (word_result, block_count_as_string),
+             (word_result, word_length_as_float)]
 
 
 @pytest.mark.parametrize("make, spoil", MALFORMED)

@@ -40,6 +40,26 @@ def test_gate_set_validation():
         GateSet.from_letters([("a", h_like()), ("a", t_like())])  # dup labels
     with pytest.raises(InvalidInput):
         GateSet(labels=(), matrices=())
+    for labels in ([], [None], [7], [["h"]]):  # no letter, or a label that is not a str
+        with pytest.raises(InvalidInput):
+            GateSet.from_letters([(lab, h_like()) for lab in labels])
+        with pytest.raises(InvalidInput):
+            GateSet.from_json({"letters": [{"label": lab, "matrix": core.matrix_to_json(h_like())}
+                                           for lab in labels]})
+
+
+def test_cached_net_builds_once_then_loads(tmp_path, monkeypatch):
+    monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    calls = []
+    build, load = sk.build_net, BasicNet.load.__func__
+    monkeypatch.setattr(sk, "build_net", lambda *a: calls.append("build") or build(*a))
+    monkeypatch.setattr(BasicNet, "load",
+                        classmethod(lambda cls, path: calls.append("load") or load(cls, path)))
+    gs = config.default_gate_set()
+    first, second = config.cached_net(gs, 4), config.cached_net(gs, 4)
+    assert calls == ["build", "load"]
+    assert len(list((tmp_path / "cache").glob("net_*.npz"))) == 1
+    assert np.array_equal(first.quats, second.quats)
 
 
 def test_gate_set_compares_by_identity(ht_set):
