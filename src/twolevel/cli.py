@@ -1,9 +1,10 @@
 """Command-line surface: factor, compile, strata, minlog, diag, verify.
 
 Data goes to stdout as JSON (or an aligned table with --format table);
-diagnostics go to stderr.  Exit codes: 2 parse failure, 3 non-unitary
-input, 4 accuracy not reached, 5 bad strata dimension, 6 determinant not
-one under --special, 7 non-diagonal input to diag.
+diagnostics go to stderr.  Exit codes: 2 an unreadable or malformed file
+or any other rejected input, 3 non-unitary input, 4 accuracy not reached,
+5 bad strata dimension, 6 determinant not one under --special,
+7 non-diagonal input to diag.
 """
 
 from __future__ import annotations
@@ -12,17 +13,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import compiler, config, core, diagonal, givens, sk, strata, su2
-from .errors import (
-    AccuracyNotReached,
-    InvalidInput,
-    NoFaithfulStrata,
-    NotSpecial,
-    NotUnitary,
-    TwoLevelError,
-)
+from .errors import AccuracyNotReached, InvalidInput, NotSpecial, NotUnitary, TwoLevelError
 
 EXIT_PARSE = 2
 EXIT_NOT_UNITARY = 3
@@ -31,34 +23,32 @@ EXIT_BAD_DIM = 5
 EXIT_NOT_SPECIAL = 6
 EXIT_NOT_DIAGONAL = 7
 
+#: The exit code of each library error a command lets through; any other
+#: TwoLevelError exits EXIT_PARSE.
+_EXIT_CODES = {NotUnitary: EXIT_NOT_UNITARY, AccuracyNotReached: EXIT_ACCURACY,
+               NotSpecial: EXIT_NOT_SPECIAL}
+
 
 def _fail(code: int, message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(code)
 
 
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_PARSE, f"cannot parse {path}: {exc}")
+def _read(path: str, parse):
+    """Parse the JSON file at ``path`` with ``parse``; exit 2 naming the file if either fails.
 
-
-def _load_matrix(path: str) -> np.ndarray:
+    The one place the CLI opens a file.  It reads bytes, so ``json`` detects
+    the encoding (UTF-8, -16 or -32) and bytes that do not decode fail here.
+    """
     try:
-        return core.matrix_from_json(_load_json(path))
-    except InvalidInput as exc:
-        _fail(EXIT_PARSE, f"{path}: {exc}")
+        with open(path, "rb") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, RecursionError, TwoLevelError) as exc:
+        _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
 
 
 def _load_gate_set(path: str | None) -> sk.GateSet:
-    if path is None:
-        return config.default_gate_set()
-    try:
-        return sk.GateSet.from_json(_load_json(path))
-    except InvalidInput as exc:
-        _fail(EXIT_PARSE, f"{path}: {exc}")
+    return config.default_gate_set() if path is None else _read(path, sk.GateSet.from_json)
 
 
 def _emit(obj) -> None:
@@ -66,11 +56,8 @@ def _emit(obj) -> None:
 
 
 def cmd_factor(args) -> None:
-    u = _load_matrix(args.matrix)
-    try:
-        fact = givens.factor(u, tol=args.tol)
-    except NotUnitary as exc:
-        _fail(EXIT_NOT_UNITARY, str(exc))
+    u = _read(args.matrix, core.matrix_from_json)
+    fact = givens.factor(u, tol=args.tol)
     err = core.operator_norm(u - givens.reconstruct(fact))
     if args.format == "table":
         print(f"dim {fact.n_dim}  factors {len(fact.factors)}")
@@ -84,18 +71,13 @@ def cmd_factor(args) -> None:
 
 
 def cmd_compile(args) -> None:
-    u = _load_matrix(args.matrix)
+    u = _read(args.matrix, core.matrix_from_json)
     gate_set = _load_gate_set(args.gate_set)
     if not (0.0 < args.epsilon < 1.0):
         _fail(EXIT_PARSE, f"--epsilon must lie in (0, 1), got {args.epsilon}")
     net = config.cached_net(gate_set, args.net_max_len)
     run = compiler.compile_pure if args.pure else compiler.compile
-    try:
-        result = run(u, args.epsilon, gate_set, net, depth=args.sk_depth)
-    except NotUnitary as exc:
-        _fail(EXIT_NOT_UNITARY, str(exc))
-    except AccuracyNotReached as exc:
-        _fail(EXIT_ACCURACY, str(exc))  # the message names every missed block
+    result = run(u, args.epsilon, gate_set, net, depth=args.sk_depth)
     if args.format == "table":
         print(f"dim {result.dim}  blocks {result.block_count}  word length {result.word_length}")
         print(f"requested eps   {result.requested_eps:.6e}")
@@ -109,14 +91,11 @@ def cmd_compile(args) -> None:
 def cmd_strata(args) -> None:
     if args.dim < 2:
         _fail(EXIT_BAD_DIM, f"--dim must be >= 2, got {args.dim}")
-    try:
-        if args.all:
-            infos = [strata.stratum_info(f, args.dim) for f in strata.enumerate_families(args.dim)]
-            infos.sort(key=lambda s: (-s.orbit_dim, s.family.parts()))
-        else:
-            infos = strata.enumerate_strata(args.dim)
-    except NoFaithfulStrata as exc:
-        _fail(EXIT_BAD_DIM, str(exc))
+    if args.all:
+        infos = [strata.stratum_info(f, args.dim) for f in strata.enumerate_families(args.dim)]
+        infos.sort(key=lambda s: (-s.orbit_dim, s.family.parts()))
+    else:
+        infos = strata.enumerate_strata(args.dim)
     if args.format == "table":
         rows = [
             (
@@ -138,13 +117,8 @@ def cmd_strata(args) -> None:
 
 
 def cmd_minlog(args) -> None:
-    v = _load_matrix(args.matrix)
-    try:
-        res = (su2.minlog_su2 if args.special else su2.minlog_u2)(v, args.tol)
-    except NotUnitary as exc:
-        _fail(EXIT_NOT_UNITARY, str(exc))
-    except NotSpecial as exc:
-        _fail(EXIT_NOT_SPECIAL, str(exc))
+    v = _read(args.matrix, core.matrix_from_json)
+    res = (su2.minlog_su2 if args.special else su2.minlog_u2)(v, args.tol)
     energy = 0.5 * res.hs_norm**2
     if args.format == "table":
         print(f"hs_norm {res.hs_norm!r}")
@@ -160,7 +134,7 @@ def cmd_minlog(args) -> None:
 
 
 def cmd_diag(args) -> None:
-    u = _load_matrix(args.matrix)
+    u = _read(args.matrix, core.matrix_from_json)
     try:
         d = diagonal.DiagonalUnitary.from_matrix(u, tol=args.tol)
     except InvalidInput as exc:
@@ -177,12 +151,9 @@ def cmd_diag(args) -> None:
 
 
 def cmd_verify(args) -> None:
-    u = _load_matrix(args.matrix)
+    u = _read(args.matrix, core.matrix_from_json)
     gate_set = _load_gate_set(args.gate_set)
-    try:
-        result = compiler.CompilationResult.from_json(_load_json(args.result))
-    except InvalidInput as exc:
-        _fail(EXIT_PARSE, f"{args.result}: {exc}")
+    result = _read(args.result, compiler.CompilationResult.from_json)
     err = compiler.verify(u, result, gate_set)
     if args.format == "table":
         print(f"achieved error {err:.6e}")
@@ -190,16 +161,27 @@ def cmd_verify(args) -> None:
         _emit({"achieved_error": err})
 
 
-_OPTION_DEFAULTS = {
-    "tol": None,
-    "gate_set": None,
-    "net_max_len": config.DEFAULT_NET_MAX_LEN,
-    "sk_depth": sk.DEFAULT_SK_DEPTH,
-    "format": "json",
+#: Each option a config file may set: (built-in default, JSON type).
+_OPTIONS = {
+    "tol": (None, float),
+    "gate_set": (None, str),
+    "net_max_len": (config.DEFAULT_NET_MAX_LEN, int),
+    "sk_depth": (sk.DEFAULT_SK_DEPTH, int),
+    "format": ("json", str),
 }
 
-_OPTION_TYPES = {"tol": float, "gate_set": str, "net_max_len": int, "sk_depth": int,
-                 "format": str}
+
+def _parse_config(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise InvalidInput("config must be a JSON object")
+    unknown = sorted(obj.keys() - _OPTIONS.keys())
+    if unknown:
+        raise InvalidInput(f"unknown config keys {unknown}; known: {sorted(_OPTIONS)}")
+    cfg = {name: core.check_json_type(value, _OPTIONS[name][1], f"config key {name!r}")
+           for name, value in obj.items()}
+    if cfg.get("format", "json") not in ("json", "table"):
+        raise InvalidInput(f"format must be 'json' or 'table', got {cfg['format']!r}")
+    return cfg
 
 
 def _resolve_options(args: argparse.Namespace) -> None:
@@ -208,24 +190,10 @@ def _resolve_options(args: argparse.Namespace) -> None:
     Options parse with a None sentinel so precedence is explicit flag,
     then config file, then default.
     """
-    cfg = {}
-    if args.config:
-        cfg = _load_json(args.config)
-        if not isinstance(cfg, dict):
-            _fail(EXIT_PARSE, f"{args.config}: config must be a JSON object")
-    for name, fallback in _OPTION_DEFAULTS.items():
-        if not hasattr(args, name):
-            continue
-        if getattr(args, name) is None:
-            value = cfg.get(name, fallback)
-            if value is not None:
-                try:
-                    value = _OPTION_TYPES[name](value)
-                except (TypeError, ValueError):
-                    _fail(EXIT_PARSE, f"config key {name!r} has invalid value {value!r}")
-            setattr(args, name, value)
-    if getattr(args, "format", "json") not in ("json", "table"):
-        _fail(EXIT_PARSE, f"format must be 'json' or 'table', got {args.format!r}")
+    cfg = _read(args.config, _parse_config) if args.config else {}
+    for name, (default, _) in _OPTIONS.items():
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, cfg.get(name, default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +262,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except TwoLevelError as exc:
-        _fail(EXIT_PARSE, str(exc))
+        _fail(_EXIT_CODES.get(type(exc), EXIT_PARSE), str(exc))
     return 0
 
 

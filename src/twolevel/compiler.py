@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, operator_norm, scaled_tol
+from .core import as_matrix, check_json_type, complex_from_json, operator_norm, scaled_tol
 from .diagonal import DiagonalUnitary, phase_split, synth_special_diagonal
 from .errors import AccuracyNotReached, InvalidIndex, InvalidInput, NumericalFailure
 from .givens import Factorization, factor
@@ -33,9 +33,9 @@ from .sk import (
 #: can never creep past the requested eps.
 _BUDGET_SHAVE = 1.0 - 1e-12
 
-#: The JSON type of each scalar of a result (a bool is neither).
+#: The JSON type of each scalar of a result, as ``check_json_type`` reads it.
 _RESULT_SCALARS = dict.fromkeys(("dim", "word_length", "block_count"), int) | dict.fromkeys(
-    ("global_phase", "requested_eps", "certified_bound", "achieved_error"), (int, float))
+    ("global_phase", "requested_eps", "certified_bound", "achieved_error"), float)
 
 
 class LiftedWord:
@@ -132,30 +132,23 @@ class CompilationResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CompilationResult":
-        """Parse a result, rejecting a scalar of another JSON type than
-        ``to_json`` writes, a diagonal of the wrong size or off the unit
-        circle and a ``word_length`` that disagrees with the word."""
+        """Parse a result, rejecting a scalar or diagonal part of another JSON
+        type than ``to_json`` writes (``core.check_json_type``), a diagonal of
+        the wrong size or off the unit circle and a ``word_length`` that
+        disagrees with the word."""
         try:
-            for key, kind in _RESULT_SCALARS.items():
-                if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
-                    raise InvalidInput(f"{key} has the wrong JSON type: {obj[key]!r}")
-            diagonal = DiagonalUnitary.from_entries([complex(re, im) for re, im in obj["diagonal"]])
-            result = cls(
-                dim=obj["dim"],
-                word=LiftedWord.from_json(obj["word"]),
-                diagonal=diagonal,
-                global_phase=float(obj["global_phase"]),
-                requested_eps=float(obj["requested_eps"]),
-                certified_bound=float(obj["certified_bound"]),
-                achieved_error=float(obj["achieved_error"]),
-                block_count=obj["block_count"],
-            )
+            scalars = {key: check_json_type(obj[key], kind, key)
+                       for key, kind in _RESULT_SCALARS.items()}
+            diagonal = DiagonalUnitary.from_entries(complex_from_json(obj["diagonal"], "diagonal"))
+            word = LiftedWord.from_json(obj["word"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed CompilationResult JSON: {exc}") from exc
+        word_length = scalars.pop("word_length")
+        result = cls(word=word, diagonal=diagonal, **scalars)
         if diagonal.dim != result.dim:
             raise InvalidInput(f"diagonal has {diagonal.dim} entries for dim {result.dim}")
-        if obj["word_length"] != len(result.word):
-            raise InvalidInput(f"word_length {obj['word_length']} != {len(result.word)} letters")
+        if word_length != len(word):
+            raise InvalidInput(f"word_length {word_length} != {len(word)} letters")
         return result
 
 

@@ -6,6 +6,8 @@ desk scale (dim <= 64, dense): the operator norm goes through a full SVD.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import InvalidInput, NotUnitary
@@ -101,21 +103,34 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def check_json_type(value, kind: type, what: str):
+    """Return ``value`` if it has the JSON type ``kind``, else raise InvalidInput.
+
+    ``int`` means a JSON integer, ``float`` a finite JSON number (returned as
+    a float) and ``str`` a string; a boolean is none of them.
+    """
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is not float and type(value) is kind:
+        return value
+    name = {int: "integer", float: "finite number", str: "string"}[kind]
+    raise InvalidInput(f"{what} must be a JSON {name}, got {value!r:.80}")
+
+
+def complex_from_json(pairs, what: str) -> np.ndarray:
+    """Decode a list of ``[re, im]`` JSON number pairs."""
+    if not (isinstance(pairs, list) and all(isinstance(z, list) and len(z) == 2 for z in pairs)):
+        raise InvalidInput(f"{what} must be a list of [re, im] pairs")
+    return np.array([complex(check_json_type(re, float, what), check_json_type(im, float, what))
+                     for re, im in pairs], dtype=np.complex128)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the matrix JSON format; raises InvalidInput on malformed data."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise InvalidInput("matrix JSON must have 'dim' and 'entries' fields")
-    try:
-        n = int(obj["dim"])
-        entries = obj["entries"]
-        if n < 1 or len(entries) != n * n:
-            raise InvalidInput(f"expected {n * n} entries for dim {n}, got {len(entries)}")
-        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    except InvalidInput:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed matrix JSON: {exc}") from exc
-    m = flat.reshape(n, n)
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix JSON has non-finite entries")
-    return m
+    n = check_json_type(obj["dim"], int, "matrix dim")
+    flat = complex_from_json(obj["entries"], "matrix entries")
+    if n < 1 or flat.size != n * n:
+        raise InvalidInput(f"expected {n * n} entries for dim {n}, got {flat.size}")
+    return flat.reshape(n, n)

@@ -106,13 +106,6 @@ class PhaseProgram:
             "rotations": [{"j": int(j), "t": float(t)} for j, t in self.rotations],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PhaseProgram":
-        try:
-            rots = [(int(r["j"]), float(r["t"])) for r in obj["rotations"]]
-            return cls(float(obj["global_phase"]), rots)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed PhaseProgram JSON: {exc}") from exc
 
 
 def gamma_1j(j: int, t: float, n: int) -> np.ndarray:

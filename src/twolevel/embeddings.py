@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, matrix_from_json, matrix_to_json, scaled_tol
+from .core import as_matrix, matrix_to_json, scaled_tol
 from .errors import InvalidFrame, InvalidIndex, InvalidInput
 
 @dataclass
@@ -33,12 +33,6 @@ class TwoLevelFactor:
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q, "block": matrix_to_json(self.block)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TwoLevelFactor":
-        try:
-            return cls(int(obj["p"]), int(obj["q"]), matrix_from_json(obj["block"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed TwoLevelFactor JSON: {exc}") from exc
 
 
 def embed_coordinate(p: int, q: int, v, n: int) -> np.ndarray:

@@ -49,15 +49,6 @@ class Factorization:
             "diagonal": [[float(z.real), float(z.imag)] for z in self.diagonal],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Factorization":
-        try:
-            n = int(obj["dim"])
-            factors = [TwoLevelFactor.from_json(f) for f in obj["factors"]]
-            diag = np.array([complex(re, im) for re, im in obj["diagonal"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed Factorization JSON: {exc}") from exc
-        return cls(n, factors, diag)
 
 
 def factor(u, tol: float | None = None) -> Factorization:

@@ -10,8 +10,8 @@ import pytest
 
 import twolevel
 from twolevel import cli, compiler, core, sk
-from twolevel.diagonal import PhaseProgram
-from twolevel.givens import Factorization
+from twolevel.diagonal import gamma_1j
+from twolevel.embeddings import embed_coordinate
 
 from util import haar_unitary, su_normalize
 
@@ -214,8 +214,13 @@ def test_factor_output_reparses(tmp_path, capsys):
     f = write_matrix(tmp_path / "m.json", u)
     code, out, _ = run_cli(["factor", f], capsys)
     assert code == 0
-    fact = Factorization.from_json(json.loads(out))
-    assert fact.n_dim == 4
+    obj = json.loads(out)
+    assert obj["dim"] == 4
+    m = np.eye(4, dtype=complex)
+    for t in obj["factors"]:
+        m = m @ embed_coordinate(t["p"], t["q"], core.matrix_from_json(t["block"]), 4)
+    m = m @ np.diag([complex(re, im) for re, im in obj["diagonal"]])
+    assert core.operator_norm(m - u) <= 1e-12
 
 
 def test_compile_pure(tmp_path, capsys):
@@ -320,8 +325,11 @@ def test_diag_synthesis(tmp_path, capsys):
     f = write_matrix(tmp_path / "m.json", d)
     code, out, err = run_cli(["diag", f], capsys)
     assert code == 0
-    prog = PhaseProgram.from_json(json.loads(out))
-    assert core.operator_norm(prog.evaluate(4) - d) <= 1e-10
+    obj = json.loads(out)
+    m = np.exp(1j * obj["global_phase"]) * np.eye(4)
+    for r in obj["rotations"]:
+        m = m @ gamma_1j(r["j"], r["t"], 4)
+    assert core.operator_norm(m - d) <= 1e-12
     reported = float(err.split("reconstruction error:")[1].strip())
     assert reported <= 1e-10
 
@@ -378,6 +386,46 @@ def test_verify_accepts_an_indented_result(tmp_path, capsys):
     code, out, _ = run_cli(["verify", f, str(indented)], capsys)
     assert code == 0
     assert json.loads(out)["achieved_error"] == obj["achieved_error"]
+
+
+NOT_UTF8 = '{"note": "caf\u00e9"}'.encode("latin-1")
+EYE2 = '"entries": [[1, 0], [0, 0], [0, 0], [1, 0]]'
+
+
+@pytest.mark.parametrize("name, content", [
+    pytest.param("matrix", NOT_UTF8, id="matrix-not-utf8"),
+    pytest.param("gate_set", NOT_UTF8, id="gate-set-not-utf8"),
+    pytest.param("result", NOT_UTF8, id="result-not-utf8"),
+    pytest.param("config", NOT_UTF8, id="config-not-utf8"),
+    pytest.param("matrix", b"[" * 100_000 + b"]" * 100_000, id="matrix-deep"),
+    pytest.param("matrix", b'{"dim": 1e400, "entries": []}', id="dim-1e400"),
+    pytest.param("matrix", f'{{"dim": 2.9, {EYE2}}}'.encode(), id="dim-float"),
+    pytest.param("matrix", b'{"dim": true, "entries": [[1, 0]]}', id="dim-bool"),
+    pytest.param("matrix", f'{{"dim": "2", {EYE2}}}'.encode(), id="dim-string"),
+    pytest.param("matrix", b'{"dim": 2, "entries": [[true, false], [0, 0], [0, 0], [1, 0]]}',
+                 id="entry-bool"),
+    pytest.param("gate_set", json.dumps({"letters": [{"label": "a", "matrix": core.matrix_to_json(
+        2 * np.eye(2))}]}).encode(), id="letter-not-unitary"),
+    pytest.param("config", b'{"sk_depth": 1e400}', id="sk-depth-1e400"),
+    pytest.param("config", b'{"sk_depth": 2.9}', id="sk-depth-float"),
+    pytest.param("config", b'{"sk_depth": true}', id="sk-depth-bool"),
+    pytest.param("config", b'{"tol": "1e-6"}', id="tol-string"),
+    pytest.param("config", b'{"sk-depth": 3}', id="unknown-key"),
+    pytest.param("config", b'{"format": "yaml"}', id="format-yaml"),
+    pytest.param("config", b'[]', id="config-not-object"),
+])
+def test_malformed_file_exits_2_naming_it(tmp_path, capsys, gate_set, name, content):
+    files = {"config": b"{}", "matrix": json.dumps(core.matrix_to_json(np.eye(2))).encode(),
+             "gate_set": json.dumps(gate_set.to_json()).encode(),
+             "result": json.dumps(compiler.CompilationResult(dim=2).to_json()).encode()}
+    files[name] = content
+    paths = {k: tmp_path / f"{k}.json" for k in files}
+    for k, data in files.items():
+        paths[k].write_bytes(data)
+    code, out, err = run_cli(["--config", str(paths["config"]), "verify", str(paths["matrix"]),
+                              str(paths["result"]), "--gate-set", str(paths["gate_set"])], capsys)
+    assert code == 2 and out == ""
+    assert str(paths[name]) in err and "Traceback" not in err
 
 
 def test_config_file_defaults(tmp_path, capsys):

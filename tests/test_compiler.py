@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolevel import compiler, core
 from twolevel.compiler import CompilationResult, compile_pure, lift_word, verify
@@ -8,21 +10,25 @@ from twolevel.errors import AccuracyNotReached, InvalidInput
 from twolevel.givens import factor
 from twolevel.sk import GateWord, build_net, evaluate_word, sk_approximate_with_error
 
+from test_factor_properties import unitaries
 from util import haar_su2, haar_unitary, lifted, su_normalize
 
 tl_compile = compiler.compile
 
 
 def dense_eval_oracle(result, gate_set):
-    """Independent evaluation: full embedded matmuls, then diagonal and phase."""
-    n = result.dim
+    """Independent evaluation of ``result.to_json()``: full embedded matmuls, one per
+    letter, then the diagonal and the phase."""
+    obj = result.to_json()
+    n = obj["dim"]
     m = np.eye(n, dtype=complex)
-    for label, inverted, p, q in result.word.letters:
-        x = gate_set.matrices[gate_set.index_of(label)]
-        if inverted:
+    for letter in obj["word"]:
+        x = gate_set.matrices[gate_set.index_of(letter["label"])]
+        if letter["inv"]:
             x = x.conj().T
-        m = m @ embed_coordinate(p, q, x, n)
-    return np.exp(1j * result.global_phase) * m @ np.diag(result.diagonal.entries)
+        m = m @ embed_coordinate(letter["p"], letter["q"], x, n)
+    diagonal = [complex(re, im) for re, im in obj["diagonal"]]
+    return np.exp(1j * obj["global_phase"]) * m @ np.diag(diagonal)
 
 
 def test_compile_identity(gate_set, net12):
@@ -72,6 +78,22 @@ def test_compile_certified_bound_soundness(gate_set, net12):
             r = tl_compile(u, eps, gate_set, net12)
             assert verify(u, r, gate_set) <= r.certified_bound + 1e-9
             assert r.certified_bound <= eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitaries(5), st.sampled_from((0.3, 0.1)))
+def test_certificate_is_sound(gate_set, net8, u, eps):
+    """achieved <= certified <= eps, and achieved is the error of the emitted JSON."""
+    n = u.shape[0]
+    for run in (tl_compile, compile_pure):
+        try:
+            r = run(u, eps, gate_set, net8)
+        except AccuracyNotReached:
+            continue
+        assert r.certified_bound <= eps
+        assert r.achieved_error <= r.certified_bound + 1e-10 * n
+        direct = core.operator_norm(u - dense_eval_oracle(r, gate_set))
+        assert abs(direct - r.achieved_error) <= 1e-12
 
 
 def test_compile_pure_equivalence(gate_set, net12):

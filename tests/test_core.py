@@ -144,6 +144,14 @@ def test_matrix_json_round_trip():
         {"dim": 2, "entries": [[1.0, 0.0]]},
         {"dim": 0, "entries": []},
         {"dim": 2, "entries": [[1.0, 0.0]] * 3 + [["x", 0.0]]},
+        {"dim": 1.9, "entries": [[1.0, 0.0]]},
+        {"dim": True, "entries": [[1.0, 0.0]]},
+        {"dim": "1", "entries": [[1.0, 0.0]]},
+        {"dim": 1, "entries": [[True, False]]},
+        {"dim": 1, "entries": [[1.0, None]]},
+        {"dim": 1, "entries": [[1.0, 0.0, 0.0]]},
+        {"dim": 1, "entries": [[1.0, float("inf")]]},
+        {"dim": 1, "entries": [[10**400, 0]]},
     ],
 )
 def test_matrix_json_malformed(obj):

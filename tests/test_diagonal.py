@@ -175,13 +175,6 @@ def test_diagonal_unitary_from_matrix_validation():
     assert np.abs(d.angles - [np.pi / 2, -np.pi / 2]).max() < 1e-15
 
 
-def test_phase_program_json_round_trip():
-    prog = PhaseProgram(0.25, [(2, 1.5), (4, -0.5)])
-    back = PhaseProgram.from_json(prog.to_json())
-    assert back.global_phase == prog.global_phase
-    assert back.rotations == prog.rotations
-
-
 def test_phase_program_evaluate_matches_gamma_product():
     # Dual route: angle accumulation vs explicit matrix product of rotations.
     rng = np.random.default_rng(4)

@@ -178,14 +178,6 @@ def test_tensor_place_bad_index():
         tensor_place(3, np.eye(2), 2)
 
 
-def test_two_level_factor_json_round_trip():
-    rng = np.random.default_rng(12)
-    f = embeddings.TwoLevelFactor(1, 3, haar_su2(rng))
-    back = embeddings.TwoLevelFactor.from_json(f.to_json())
-    assert back.p == 1 and back.q == 3
-    assert np.array_equal(back.block, f.block)
-
-
 def test_two_level_factor_validation():
     with pytest.raises(InvalidIndex):
         embeddings.TwoLevelFactor(3, 2, np.eye(2))

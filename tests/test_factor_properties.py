@@ -29,16 +29,18 @@ def _unitary(kind, n, seed):
     return np.eye(n, dtype=complex)
 
 
-unitaries = st.builds(
-    _unitary,
-    st.sampled_from(("haar", "permutation", "diagonal", "identity")),
-    st.integers(1, 8),
-    st.integers(0, 2**32 - 1),
-)
+def unitaries(max_dim=8):
+    """Unitaries of dims 1..max_dim of the four kinds."""
+    return st.builds(
+        _unitary,
+        st.sampled_from(("haar", "permutation", "diagonal", "identity")),
+        st.integers(1, max_dim),
+        st.integers(0, 2**32 - 1),
+    )
 
 
 @settings(max_examples=150, deadline=None)
-@given(unitaries)
+@given(unitaries())
 def test_factor_reconstruct_round_trip(u):
     n = u.shape[0]
     fact = factor(u)
@@ -47,7 +49,7 @@ def test_factor_reconstruct_round_trip(u):
 
 
 @settings(max_examples=150, deadline=None)
-@given(unitaries, st.sampled_from((0.1, 1e-3)), st.booleans())
+@given(unitaries(), st.sampled_from((0.1, 1e-3)), st.booleans())
 def test_specialized_blocks_are_special_and_reconstruct(u, eps, pure):
     n = u.shape[0]
     blocks, diagonal, theta = _specialize_blocks(factor(u), eps, pure)

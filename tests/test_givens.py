@@ -119,12 +119,3 @@ def test_reconstruct_matches_dense_product():
         dense = dense @ embed_coordinate(fac.p, fac.q, fac.block, 8)
     dense = dense @ np.diag(f.diagonal)
     assert np.abs(reconstruct(f) - dense).max() <= 1e-12
-
-
-def test_factorization_json_round_trip():
-    rng = np.random.default_rng(9)
-    u = haar_unitary(4, rng)
-    f = factor(u)
-    back = Factorization.from_json(f.to_json())
-    assert back.n_dim == 4
-    assert core.operator_norm(reconstruct(back) - u) <= 1e-10

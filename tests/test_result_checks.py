@@ -95,6 +95,10 @@ def label_not_str(obj):
     obj["word"][0]["label"] = None
 
 
+def diagonal_as_bool(obj):
+    obj["diagonal"][0] = [True, False]
+
+
 def phase_as_string(obj):
     obj["global_phase"] = "0.5"
 
@@ -121,7 +125,7 @@ MALFORMED = [(scalar_result, cut_diagonal), (word_result, wrong_word_length),
              (word_result, plane_as_bool), (word_result, label_not_str),
              (word_result, phase_as_string), (word_result, phase_as_bool),
              (word_result, dim_as_float), (word_result, block_count_as_string),
-             (word_result, word_length_as_float)]
+             (word_result, word_length_as_float), (word_result, diagonal_as_bool)]
 
 
 @pytest.mark.parametrize("make, spoil", MALFORMED)
