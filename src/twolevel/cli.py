@@ -3,8 +3,8 @@
 Data goes to stdout as JSON (or an aligned table with --format table);
 diagnostics go to stderr.  Exit codes: 2 an unreadable or malformed file
 or any other rejected input, 3 non-unitary input, 4 accuracy not reached,
-5 bad strata dimension, 6 determinant not one under --special,
-7 non-diagonal input to diag.
+5 strata dimension outside [2, STRATA_MAX_DIM], 6 determinant not one
+under --special, 7 non-diagonal input to diag.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ EXIT_ACCURACY = 4
 EXIT_BAD_DIM = 5
 EXIT_NOT_SPECIAL = 6
 EXIT_NOT_DIAGONAL = 7
+
+#: Largest ``strata --dim``: the command lists every partition of the dim,
+#: 8,349 at 32 (about 0.35 s and 0.9 MB of JSON), 966,467 at 60.
+STRATA_MAX_DIM = 32
 
 #: The exit code of each library error a command lets through; any other
 #: TwoLevelError exits EXIT_PARSE.
@@ -89,8 +93,8 @@ def cmd_compile(args) -> None:
 
 
 def cmd_strata(args) -> None:
-    if args.dim < 2:
-        _fail(EXIT_BAD_DIM, f"--dim must be >= 2, got {args.dim}")
+    if not 2 <= args.dim <= STRATA_MAX_DIM:
+        _fail(EXIT_BAD_DIM, f"--dim must lie in [2, {STRATA_MAX_DIM}], got {args.dim}")
     if args.all:
         infos = [strata.stratum_info(f, args.dim) for f in strata.enumerate_families(args.dim)]
         infos.sort(key=lambda s: (-s.orbit_dim, s.family.parts()))
@@ -194,6 +198,8 @@ def _resolve_options(args: argparse.Namespace) -> None:
     for name, (default, _) in _OPTIONS.items():
         if hasattr(args, name) and getattr(args, name) is None:
             setattr(args, name, cfg.get(name, default))
+    if getattr(args, "tol", None) is not None:
+        core.scaled_tol(1, args.tol)  # a bad tolerance exits 2 before any command reads it
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,8 +264,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve_options(args)
     try:
+        _resolve_options(args)
         args.func(args)
     except TwoLevelError as exc:
         _fail(_EXIT_CODES.get(type(exc), EXIT_PARSE), str(exc))

@@ -280,16 +280,17 @@ def compile_pure(u, eps: float, gate_set: GateSet, net: BasicNet,
 def evaluate_lifted(word: LiftedWord, gate_set: GateSet, n: int) -> np.ndarray:
     """Left-to-right product of embedded letters as a dense N x N matrix.
 
-    Each same-plane run is multiplied out as a batched 2x2 product, then
-    applied to the plane's two columns in one update.
+    Each same-plane run gathers its letters' matrices, is multiplied out as a
+    batched 2x2 product, then applied to the plane's two columns in one
+    update; only one run's matrices are held at a time.
     """
-    mats = letter_table(gate_set)[word.word.codes_for(gate_set)]
+    table, codes = letter_table(gate_set), word.word.codes_for(gate_set)
     m = np.eye(n, dtype=np.complex128)
     for p, q, start, stop in word.segments:
         if q > n:
             raise InvalidIndex(f"lifted letter ({p},{q}) exceeds dim {n}")
         cols = [p - 1, q - 1]
-        m[:, cols] = m[:, cols] @ chain_product(mats[start:stop])
+        m[:, cols] = m[:, cols] @ chain_product(table[codes[start:stop]])
     return m
 
 

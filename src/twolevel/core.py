@@ -33,7 +33,12 @@ def as_matrix(a) -> np.ndarray:
 
 
 def scaled_tol(dim: int, tol: float | None = None) -> float:
-    return (DEFAULT_TOL if tol is None else tol) * max(dim, 1)
+    """``tol`` (DEFAULT_TOL if None) times the dimension; the one place a
+    tolerance enters, so one that is not a finite number >= 0 raises InvalidInput."""
+    tol = DEFAULT_TOL if tol is None else tol
+    if not 0.0 <= tol <= sys.float_info.max:  # NaN fails too
+        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol * max(dim, 1)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -10,10 +10,12 @@ norm.  Lookup exploits that for U, V in SU(2)
     ||U - V|| = |q_U - q_V| = sqrt(2 - 2 q_U . q_V),
 
 so distance-to-identity values s = sqrt(2 - 2a) give a one-dimensional
-lower bound |s_U - s_V| <= ||U - V|| used to prune the scan window.
-Matrices appear only where a word meets the gate set, so each reported
-error is re-checked from the word alone.  Nets are immutable after
-construction and safe to share across threads.
+lower bound |s_U - s_V| <= ||U - V|| used to prune the scan window.  The
+net keeps a copy of its quaternions sorted by s, so each window is one
+contiguous slice, and its net file stores that sort order.  Matrices
+appear only where a word meets the gate set, so each reported error is
+re-checked from the word alone.  Nets are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -237,17 +239,22 @@ class BasicNet:
     #: Version of what ``build_net`` enumerates and of the npz layout ``save``
     #: writes; net caches are keyed on it and ``load`` checks it.  Bump it
     #: when either changes.
-    NET_FORMAT = 3
+    NET_FORMAT = 4
 
-    def __init__(self, gate_set: GateSet, max_word_length: int, quats, parent, code):
+    def __init__(self, gate_set: GateSet, max_word_length: int, quats, parent, code,
+                 s_order=None):
+        """``s_order``, a permutation that sorts the entries by s (``load`` reads
+        it from the file), defaults to the stable argsort of s."""
         self.gate_set = gate_set
         self.max_word_length = int(max_word_length)
         self.quats = np.ascontiguousarray(quats, dtype=np.float64)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.code = np.asarray(code, dtype=np.int16)
         s = _s_values(self.quats)
-        self._s_order = np.argsort(s, kind="stable")
+        self._s_order = np.argsort(s, kind="stable") if s_order is None else s_order
         self._s_sorted = s[self._s_order]
+        # The quaternions in s order, so that each lookup window is one contiguous slice.
+        self._quats_by_s = np.take(self.quats, self._s_order, axis=0)
 
     def __len__(self) -> int:
         return len(self.quats)
@@ -267,7 +274,9 @@ class BasicNet:
         """Exact operator-norm nearest entry to the quaternion ``t``: (index, distance).
 
         A probe window seeds the best distance; the final window
-        |s_entry - s_target| <= best provably contains the true argmin.
+        |s_entry - s_target| <= best provably contains the true argmin.  Both
+        windows are slices of the s-sorted copy of the quaternions, and the
+        winner's position maps back to its entry through the s order.
         Entries whose squared distance is within TIE_TOL of the minimum tie;
         the shortest word wins, then the least letter sequence, and the
         distance returned is the winner's own.
@@ -277,24 +286,22 @@ class BasicNet:
             raise InvalidInput(f"nearest takes a real quaternion (su2.quat), got {t.dtype} {t.shape}")
         s_t = float(_s_values(t))
         pos = int(np.searchsorted(self._s_sorted, s_t))
-        lo0, hi0 = max(0, pos - 64), min(len(self), pos + 64)
-        probe = self._s_order[lo0:hi0]
-        d2 = 2.0 - 2.0 * (self.quats[probe] @ t)
+        lo, hi = max(0, pos - 64), min(len(self), pos + 64)
+        d2 = 2.0 - 2.0 * (self._quats_by_s[lo:hi] @ t)
         best = float(np.sqrt(max(float(d2.min()), 0.0) + TIE_TOL))
-        lo = int(np.searchsorted(self._s_sorted, s_t - best))
-        hi = int(np.searchsorted(self._s_sorted, s_t + best, side="right"))
-        window = self._s_order[lo:hi]
-        if len(window) == 0:
-            window = probe
-        d2 = 2.0 - 2.0 * (self.quats[window] @ t)
+        lo_w = int(np.searchsorted(self._s_sorted, s_t - best))
+        hi_w = int(np.searchsorted(self._s_sorted, s_t + best, side="right"))
+        if lo_w < hi_w:  # else rounding emptied the window: keep the probe
+            lo, hi = lo_w, hi_w
+            d2 = 2.0 - 2.0 * (self._quats_by_s[lo:hi] @ t)
         ties = np.flatnonzero(d2 <= d2.min() + TIE_TOL)
         k = int(ties[0])
         if len(ties) > 1:
             # Mirror-image words (w and its reversal, for x/y letters) are
             # equidistant from a mirror-plane target, so rounding must not pick.
-            words = {j: self.word_at(int(window[j])) for j in ties.tolist()}
+            words = {j: self.word_at(int(self._s_order[lo + j])) for j in ties.tolist()}
             k = min(words, key=lambda j: (len(words[j]), words[j].letters))
-        return int(window[k]), float(np.sqrt(max(float(d2[k]), 0.0)))
+        return int(self._s_order[lo + k]), float(np.sqrt(max(float(d2[k]), 0.0)))
 
     def covering_radius(self, samples: int = 200, seed: int = 0) -> float:
         """Sampled estimate of the worst base-approximation distance."""
@@ -308,6 +315,7 @@ class BasicNet:
             quats=self.quats,
             parent=self.parent,
             code=self.code,
+            s_order=self._s_order.astype(np.int32),
             max_word_length=np.array([self.max_word_length]),
             gate_set=np.array([json.dumps(self.gate_set.to_json(), sort_keys=True)]),
         )
@@ -319,15 +327,17 @@ class BasicNet:
         Raises InvalidInput if the file is not an npz archive of the members
         ``save`` writes, if its NET_FORMAT differs or is missing, if its arrays
         are not n unit quaternions with n parents and n letter codes of the gate
-        set, if a parent pointer does not point back, or if one of 16 sampled
-        entries is not its word's.  A path that cannot be opened raises OSError.
+        set, if ``s_order`` is not an integer permutation of the n entries along
+        which s is non-decreasing, if a parent pointer does not point back, or
+        if one of 16 sampled entries is not its word's.  A path that cannot be
+        opened raises OSError.  No sort is done: the lookup uses ``s_order``.
         """
         try:
             with np.load(path, allow_pickle=False) as z:
                 if "net_format" not in z.files or int(z["net_format"][0]) != cls.NET_FORMAT:
                     raise InvalidInput(f"{path} is not a net file of format {cls.NET_FORMAT}")
                 gs = GateSet.from_json(json.loads(str(z["gate_set"][0])))
-                quats, parent, code = z["quats"], z["parent"], z["code"]
+                quats, parent, code, order = z["quats"], z["parent"], z["code"], z["s_order"]
                 max_len = int(z["max_word_length"][0])
         except (EOFError, IndexError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
             raise InvalidInput(f"{path} is not a readable net file: {exc!r}") from exc
@@ -341,7 +351,13 @@ class BasicNet:
             raise InvalidInput(f"{path}: quats are not finite unit quaternions")
         if not np.all((code[1:] >= 0) & (code[1:] < 2 * len(gs.labels))):
             raise InvalidInput(f"{path}: letter codes lie outside the gate set")
-        net = cls(gs, max_len, quats, parent, code)
+        if not (order.shape == quats.shape[:1] and order.dtype.kind == "i"
+                and order.min() >= 0 and order.max() < len(order)
+                and np.bincount(order, minlength=len(order)).max() == 1):
+            raise InvalidInput(f"{path}: s_order is not a permutation of the {len(quats)} entries")
+        net = cls(gs, max_len, quats, parent, code, order)
+        if np.any(net._s_sorted[1:] < net._s_sorted[:-1]):
+            raise InvalidInput(f"{path}: s_order does not sort the entries by s")
         if not np.all((net.parent[1:] >= 0) & (net.parent[1:] < np.arange(1, len(net)))):
             raise InvalidInput(f"{path}: parent pointers do not point to earlier entries")
         table = letter_table(gs)  # net codes index the gate set's own letter order

@@ -266,8 +266,15 @@ def test_strata_table_format(capsys):
 
 
 def test_strata_bad_dim(capsys):
-    code, _, _ = run_cli(["strata", "--dim", "1"], capsys)
-    assert code == 5
+    for dim in (1, cli.STRATA_MAX_DIM + 1, 60):
+        code, out, err = run_cli(["strata", "--dim", str(dim)], capsys)
+        assert code == 5 and out == ""
+        assert f"[2, {cli.STRATA_MAX_DIM}]" in err
+
+
+def test_strata_max_dim_runs(capsys):
+    code, out, _ = run_cli(["strata", "--dim", str(cli.STRATA_MAX_DIM), "--all"], capsys)
+    assert code == 0 and len(json.loads(out)) == 8349  # the partitions of 32
 
 
 def test_minlog_identity(tmp_path, capsys):
@@ -470,6 +477,27 @@ def test_tol_only_on_commands_that_read_it(tmp_path, capsys):
     for args in (["factor", f], ["minlog", f], ["diag", f]):
         code, _, _ = run_cli(args + ["--tol", "1e-6"], capsys)
         assert code == 0
+
+
+@pytest.mark.parametrize("command", ["factor", "minlog", "diag"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_bad_tol_exits_2(tmp_path, capsys, command, tol):
+    # diag(2, 1) under --tol nan or inf used to exit 0 with a non-unitary "diagonal".
+    for m in (np.eye(2), np.diag([2.0, 1.0])):
+        f = write_matrix(tmp_path / "m.json", m)
+        code, out, err = run_cli([command, f, f"--tol={tol}"], capsys)
+        assert code == 2 and out == "" and "tolerance" in err
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"tol": float(tol)}))
+        if np.isfinite(float(tol)):  # the config's JSON type rule already rejects the rest
+            code, out, err = run_cli(["--config", str(cfg), command, f], capsys)
+            assert code == 2 and out == "" and "tolerance" in err
+
+
+def test_zero_tol_is_accepted(tmp_path, capsys):
+    f = write_matrix(tmp_path / "m.json", np.eye(2))
+    for command in ("factor", "minlog", "diag"):
+        assert run_cli([command, f, "--tol", "0"], capsys)[0] == 0
 
 
 def test_failed_net_save_leaves_no_temp_file(tmp_path, capsys, monkeypatch):

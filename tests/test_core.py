@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from twolevel import core
+from twolevel import core, givens, su2
+from twolevel.diagonal import DiagonalUnitary
 from twolevel.errors import InvalidInput
 
 from util import haar_unitary
@@ -157,3 +158,22 @@ def test_matrix_json_round_trip():
 def test_matrix_json_malformed(obj):
     with pytest.raises(InvalidInput):
         core.matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_bad_tolerance_is_rejected(tol):
+    with pytest.raises(InvalidInput):
+        core.scaled_tol(2, tol)
+    for call in (lambda: givens.factor(np.eye(2), tol=tol),
+                 lambda: su2.minlog_u2(np.eye(2), tol),
+                 lambda: su2.minlog_su2(np.eye(2), tol),
+                 lambda: core.assert_unitary(np.diag([2.0, 1.0]), tol),
+                 lambda: DiagonalUnitary.from_matrix(np.diag([2.0, 1.0]), tol=tol)):
+        with pytest.raises(InvalidInput, match="tolerance"):
+            call()
+
+
+def test_scaled_tol_scales_a_good_tolerance():
+    assert core.scaled_tol(3) == 3 * core.DEFAULT_TOL
+    assert core.scaled_tol(0, 0.5) == 0.5
+    assert core.scaled_tol(4, 0.0) == 0.0

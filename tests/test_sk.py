@@ -16,7 +16,7 @@ from twolevel.sk import (
     sk_approximate_with_error,
 )
 
-from util import haar_su2
+from util import gather_nearest, haar_su2
 
 
 def h_like():
@@ -60,6 +60,57 @@ def test_cached_net_builds_once_then_loads(tmp_path, monkeypatch):
     assert calls == ["build", "load"]
     assert len(list((tmp_path / "cache").glob("net_*.npz"))) == 1
     assert np.array_equal(first.quats, second.quats)
+
+
+def test_net_load_takes_the_stored_order(tmp_path, ht_set, monkeypatch):
+    net = build_net(ht_set, 6)
+    path = tmp_path / "net.npz"
+    net.save(path)
+    with np.load(path) as z:
+        assert z["s_order"].dtype.kind == "i"
+        assert np.array_equal(z["s_order"], net._s_order)
+    monkeypatch.setattr(np, "argsort", None)  # load must not sort
+    back = BasicNet.load(path)
+    assert np.array_equal(back._s_order, net._s_order)
+    assert np.array_equal(back._quats_by_s, net._quats_by_s)
+
+
+def test_net_load_accepts_an_int32_order_with_ties_in_any_order(tmp_path, ht_set):
+    net = build_net(ht_set, 6)
+    order = net._s_order.astype(np.int32)
+    s = net._s_sorted
+    i = int(np.flatnonzero(s[1:] == s[:-1])[0])  # two entries with equal s
+    order[[i, i + 1]] = order[[i + 1, i]]
+    path = tmp_path / "net.npz"
+    net.save(path)
+    with np.load(path) as z:
+        fields = {**dict(z), "s_order": order}
+    np.savez(path, **fields)
+    back = BasicNet.load(path)
+    assert np.array_equal(back._s_order, order)
+    haar = su2.quat(haar_su2(np.random.default_rng(3)))
+    for q in (net.quats[order[i]], net.quats[order[i + 1]], haar):
+        assert back.nearest(q) == net.nearest(q)
+
+
+def test_cached_net_rebuilds_a_format_3_file_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(config.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    gs = config.default_gate_set()
+    config.cached_net(gs, 4)
+    path = next((tmp_path / "cache").glob("net_*.npz"))
+    with np.load(path) as z:
+        fields = {k: v for k, v in dict(z).items() if k != "s_order"}
+    np.savez(path, **{**fields, "net_format": np.array([3])})
+    capsys.readouterr()
+    built, build = [], sk.build_net
+    monkeypatch.setattr(sk, "build_net", lambda *a: built.append(a) or build(*a))
+    config.cached_net(gs, 4)
+    assert "warning: ignoring bad net cache" in capsys.readouterr().err
+    config.cached_net(gs, 4)
+    assert capsys.readouterr().err == ""
+    assert len(built) == 1
+    with np.load(path) as z:
+        assert int(z["net_format"][0]) == BasicNet.NET_FORMAT and "s_order" in z.files
 
 
 def test_gate_set_compares_by_identity(ht_set):
@@ -170,7 +221,8 @@ def test_net_file_carries_its_format(tmp_path, ht_set):
     stale = {"net_format": None, "quats": None,
              "mats": np.array([su2.from_quat(q) for q in net.quats]),
              "length": np.array([len(net.word_at(i)) for i in range(len(net))])}
-    for change in (stale, {"net_format": np.array([1])}, {"net_format": None}):
+    format3 = {"net_format": np.array([3]), "s_order": None}  # format 3 had no s_order
+    for change in (stale, format3, {"net_format": np.array([1])}, {"net_format": None}):
         with pytest.raises(InvalidInput):
             BasicNet.load(rewritten(**change))
     bad = net.quats.copy()
@@ -210,10 +262,19 @@ def _unsampled_row(quats, value):
         lambda net: {"max_word_length": np.array([], dtype=np.int64)},
         lambda net: {"quats": net.quats.astype(str)},
         lambda net: {"parent": net.parent + 0.5},
+        lambda net: {"s_order": None},
+        lambda net: {"s_order": net._s_order[:-1]},
+        lambda net: {"s_order": net._s_order.astype(np.float64)},
+        lambda net: {"s_order": np.where(net._s_order == 0, len(net), net._s_order)},
+        lambda net: {"s_order": np.where(net._s_order == 0, -1, net._s_order)},
+        lambda net: {"s_order": np.where(net._s_order == 0, 1, net._s_order)},
+        lambda net: {"s_order": net._s_order[::-1]},
     ],
     ids=["quats_3_columns", "parent_short", "code_short", "code_99", "nan_row", "non_unit_row",
          "no_quats", "no_parent", "no_code", "no_max_word_length", "no_gate_set",
-         "gate_set_not_json", "max_word_length_empty", "quats_strings", "parent_floats"],
+         "gate_set_not_json", "max_word_length_empty", "quats_strings", "parent_floats",
+         "no_s_order", "s_order_short", "s_order_floats", "s_order_past_end", "s_order_negative",
+         "s_order_repeats", "s_order_unsorted"],
 )
 def test_net_load_rejects_malformed_arrays(tmp_path, ht_set, change):
     net = build_net(ht_set, 6)
@@ -263,6 +324,55 @@ def test_nearest_matches_exhaustive_scan(ht_set):
         _, dist = net.nearest(su2.quat(v))
         brute = min(core.operator_norm(su2.from_quat(q) - v) for q in net.quats)
         assert abs(dist - brute) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def oracle_nets(net8, ht_set, tmp_path_factory):
+    ht = build_net(ht_set, 8)
+    path = tmp_path_factory.mktemp("oracle") / "ht.npz"
+    ht.save(path)
+    return {"default8": net8, "ht8": ht, "ht8_loaded": BasicNet.load(path),
+            "identity": build_net(ht_set, 0)}
+
+
+def _unit(v):
+    return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+
+def _directions(n):
+    return st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(
+        lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@st.composite
+def lookup_targets(draw, net):
+    """Unit quaternions: Haar-like, near or on a net entry, on the z = 0 mirror
+    plane, or at s = sqrt(2 - 2a) near 0 or near 2."""
+    kind = draw(st.sampled_from(["haar", "near", "on", "mirror", "s_near_0", "s_near_2"]))
+    if kind in ("near", "on"):
+        q = net.quats[draw(st.integers(0, len(net) - 1))]
+        if kind == "on":
+            return q.copy()
+        return _unit(q + 10.0 ** draw(st.integers(-13, -1)) * _unit(draw(_directions(4))))
+    if kind == "mirror":
+        theta, phi = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+        return np.array([np.cos(theta), np.sin(theta) * np.cos(phi),
+                         np.sin(theta) * np.sin(phi), 0.0])
+    if kind in ("s_near_0", "s_near_2"):
+        delta = draw(st.one_of(st.just(0.0), st.floats(1e-16, 0.1)))
+        a = 1.0 - delta if kind == "s_near_0" else delta - 1.0
+        return np.array([a, *(np.sqrt(1.0 - a * a) * _unit(draw(_directions(3))))])
+    return _unit(draw(_directions(4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["default8", "ht8", "ht8_loaded", "identity"]), st.data())
+def test_nearest_matches_gather_reference(oracle_nets, name, data):
+    # The contiguous s-sorted lookup returns exactly what gathering each
+    # window by index returns: the same entry, ties included, and the same distance.
+    net = oracle_nets[name]
+    t = data.draw(lookup_targets(net))
+    assert net.nearest(t) == gather_nearest(net, t)
 
 
 def _commutator_error(delta):

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from twolevel.compiler import LiftedWord
+from twolevel.sk import TIE_TOL
 
 
 def haar_unitary(n, rng):
@@ -61,3 +62,26 @@ def schur_minlog(v, special=False):
     x = (q * (1j * angles)) @ q.conj().T
     x = 0.5 * (x - x.conj().T)
     return x, float(np.sqrt(0.5 * np.sum(angles**2))), angles
+
+
+def gather_nearest(net, t):
+    """Reference ``BasicNet.nearest``: the same windows and tie rule, each
+    window gathered from ``net.quats`` by index through its own stable s order."""
+    s = np.sqrt(np.clip(2.0 - 2.0 * net.quats[:, 0], 0.0, 4.0))
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    s_t = float(np.sqrt(np.clip(2.0 - 2.0 * t[0], 0.0, 4.0)))
+    pos = int(np.searchsorted(s_sorted, s_t))
+    probe = order[max(0, pos - 64):min(len(net), pos + 64)]
+    d2 = 2.0 - 2.0 * (net.quats[probe] @ t)
+    best = float(np.sqrt(max(float(d2.min()), 0.0) + TIE_TOL))
+    lo = int(np.searchsorted(s_sorted, s_t - best))
+    hi = int(np.searchsorted(s_sorted, s_t + best, side="right"))
+    window = order[lo:hi]
+    if len(window) == 0:
+        window = probe
+    d2 = 2.0 - 2.0 * (net.quats[window] @ t)
+    ties = np.flatnonzero(d2 <= d2.min() + TIE_TOL)
+    words = {j: net.word_at(int(window[j])) for j in ties.tolist()}
+    k = min(words, key=lambda j: (len(words[j]), words[j].letters))
+    return int(window[k]), float(np.sqrt(max(float(d2[k]), 0.0)))
