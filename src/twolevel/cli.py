@@ -3,7 +3,7 @@
 Data goes to stdout as JSON (or an aligned table with --format table);
 diagnostics go to stderr.  Exit codes: 2 an unreadable or malformed file
 or any other rejected input, 3 non-unitary input, 4 accuracy not reached,
-5 strata dimension outside [2, STRATA_MAX_DIM], 6 determinant not one
+5 strata dimension outside [2, strata.STRATA_MAX_DIM], 6 determinant not one
 under --special, 7 non-diagonal input to diag.
 """
 
@@ -22,10 +22,6 @@ EXIT_ACCURACY = 4
 EXIT_BAD_DIM = 5
 EXIT_NOT_SPECIAL = 6
 EXIT_NOT_DIAGONAL = 7
-
-#: Largest ``strata --dim``: the command lists every partition of the dim,
-#: 8,349 at 32 (about 0.35 s and 0.9 MB of JSON), 966,467 at 60.
-STRATA_MAX_DIM = 32
 
 #: The exit code of each library error a command lets through; any other
 #: TwoLevelError exits EXIT_PARSE.
@@ -93,8 +89,8 @@ def cmd_compile(args) -> None:
 
 
 def cmd_strata(args) -> None:
-    if not 2 <= args.dim <= STRATA_MAX_DIM:
-        _fail(EXIT_BAD_DIM, f"--dim must lie in [2, {STRATA_MAX_DIM}], got {args.dim}")
+    if not 2 <= args.dim <= strata.STRATA_MAX_DIM:
+        _fail(EXIT_BAD_DIM, f"--dim must lie in [2, {strata.STRATA_MAX_DIM}], got {args.dim}")
     if args.all:
         infos = [strata.stratum_info(f, args.dim) for f in strata.enumerate_families(args.dim)]
         infos.sort(key=lambda s: (-s.orbit_dim, s.family.parts()))

@@ -163,22 +163,37 @@ def _specialize_blocks(fact: Factorization, eps: float, pure: bool):
     """The compile's SU(2) block table and the part that stays exact.
 
     Returns ``(blocks, diagonal, global_phase)`` with one ``(p, q, su2_block,
-    budget)`` row per block to approximate.  The K Givens blocks, special
-    unitary as factored, get eps/K, or (eps/2)/K when pure.  When pure, the
-    G gamma_1j rotations of the diagonal's special part follow at (eps/2)/G,
-    or eps/G when K = 0, and the diagonal left is the identity.
+    budget)`` row per block to approximate, each row at eps/rows.  The Givens
+    blocks are special unitary as factored.  When pure, the diagonal is split
+    as e^{i theta} D0 and the gauge of the plane-(1, j) blocks absorbs D0: the
+    table is walked with a running diagonal Y (from I), each block is
+    conjugated by Y, and a (1, j) block becomes B_eff diag(e^{-i phi},
+    e^{i phi}) with phi the angle left at j by Y D0, then Y <- R_1j(phi) Y.
+    The residual Y D0 is 1 at every absorbed j, and its gamma_1j rows (only
+    for coordinates without a (1, j) block) follow; the diagonal left is the
+    identity.
     """
-    k = len(fact.factors)
-    share = eps / 2.0 if pure else eps
-    blocks = [(f.p, f.q, f.block, share / k * _BUDGET_SHAVE) for f in fact.factors]
     diagonal = DiagonalUnitary(np.angle(fact.diagonal))
-    if not pure:
-        return blocks, diagonal, 0.0
-    theta, d0 = phase_split(diagonal)
-    rotations = synth_special_diagonal(d0).rotations
-    blocks += [(1, j, np.diag([np.exp(1.0j * t / 2.0), np.exp(-1.0j * t / 2.0)]),
-                (share if k else eps) / len(rotations) * _BUDGET_SHAVE) for j, t in rotations]
-    return blocks, DiagonalUnitary.identity(fact.n_dim), theta
+    theta = 0.0
+    rows = [(f.p, f.q, f.block) for f in fact.factors]
+    if pure:
+        theta, d0 = phase_split(diagonal)
+        y = np.zeros(fact.n_dim)  # the angles of Y
+        for k, (p, q, s) in enumerate(rows):
+            plane = [p - 1, q - 1]
+            s = s * np.exp(1.0j * (y[plane, None] - y[None, plane]))
+            if p == 1:
+                phi = d0.angles[q - 1] + y[q - 1]
+                s = s * np.exp([-1.0j * phi, 1.0j * phi])
+                y[0] += phi
+                y[q - 1] -= phi
+            rows[k] = (p, q, s)
+        rotations = synth_special_diagonal(DiagonalUnitary(d0.angles + y)).rotations
+        rows += [(1, j, np.diag([np.exp(1.0j * t / 2.0), np.exp(-1.0j * t / 2.0)]))
+                 for j, t in rotations]
+        diagonal = DiagonalUnitary.identity(fact.n_dim)
+    budget = eps / max(len(rows), 1) * _BUDGET_SHAVE
+    return [(*row, budget) for row in rows], diagonal, theta
 
 
 def _check_alphabet(gate_set: GateSet, net: BasicNet) -> None:
@@ -269,10 +284,10 @@ def compile_pure(u, eps: float, gate_set: GateSet, net: BasicNet,
                  depth: int = DEFAULT_SK_DEPTH) -> CompilationResult:
     """Compile to a pure word and global phase: ||U - e^{i theta} W|| <= eps.
 
-    The diagonal remainder is split off its global phase and expressed
-    through gamma_1j rotations, whose SU(2) blocks join the Givens blocks in
-    the one block table: half of eps covers the Givens blocks, half the
-    rotations, each lifted on its (1, j) plane.
+    The diagonal remainder's special part is absorbed by the gauge of the
+    plane-(1, j) Givens blocks (``_specialize_blocks``), so a dense input
+    needs no extra blocks; gamma_1j rotations are added only for coordinates
+    without a (1, j) block.  Every row of the one block table gets eps/rows.
     """
     return _compile(u, eps, gate_set, net, depth, pure=True)
 

@@ -15,6 +15,11 @@ from .errors import InvalidInput, NotUnitary
 #: Base tolerance; checks scale it by the matrix dimension.
 DEFAULT_TOL = 1e-10
 
+#: Largest base tolerance accepted.  A tolerance is slack for rounding in the
+#: input, not an approximation: above this a check would take a matrix far
+#: from unitary (diag(2, 1) at tol 1) for a nearby one and answer for that.
+MAX_TOL = 1e-6
+
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
@@ -34,10 +39,10 @@ def as_matrix(a) -> np.ndarray:
 
 def scaled_tol(dim: int, tol: float | None = None) -> float:
     """``tol`` (DEFAULT_TOL if None) times the dimension; the one place a
-    tolerance enters, so one that is not a finite number >= 0 raises InvalidInput."""
+    tolerance enters, so one outside [0, MAX_TOL] raises InvalidInput."""
     tol = DEFAULT_TOL if tol is None else tol
-    if not 0.0 <= tol <= sys.float_info.max:  # NaN fails too
-        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol!r}")
+    if not 0.0 <= tol <= MAX_TOL:  # NaN fails too
+        raise InvalidInput(f"tolerance must be a number in [0, {MAX_TOL:g}], got {tol!r}")
     return tol * max(dim, 1)
 
 

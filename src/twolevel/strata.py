@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 from .errors import DimMismatch, InvalidDim, InvalidInput, NoFaithfulStrata
 
+#: Largest n that ``enumerate_families`` and ``enumerate_strata`` take: they
+#: list every partition of n, 8,349 at 32 (about 0.35 s and 0.9 MB of JSON
+#: from ``twolevel strata``) and 966,467 at 60.
+STRATA_MAX_DIM = 32
+
 
 @dataclass(frozen=True)
 class MultiplicityFamily:
@@ -83,8 +88,8 @@ def _partitions(n: int, max_part: int):
 
 def enumerate_families(n: int) -> list[MultiplicityFamily]:
     """All multiplicity families with total dimension n, in partition order."""
-    if n < 1:
-        raise InvalidDim(f"dimension must be >= 1, got {n}")
+    if not 1 <= n <= STRATA_MAX_DIM:
+        raise InvalidDim(f"dimension must lie in [1, {STRATA_MAX_DIM}], got {n}")
     return [MultiplicityFamily.from_parts(p) for p in _partitions(n, n)]
 
 
@@ -105,7 +110,8 @@ def stratum_info(family: MultiplicityFamily, n: int) -> StratumInfo:
 
 
 def enumerate_strata(n: int) -> list[StratumInfo]:
-    """All faithful strata at dimension n, by decreasing orbit dimension.
+    """All faithful strata at dimension n <= STRATA_MAX_DIM, by decreasing
+    orbit dimension.
 
     Ties are broken by the lexicographic partition view of the family.
     """

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twolevel
-from twolevel import cli, compiler, core, sk
+from twolevel import cli, compiler, core, givens, sk, strata
 from twolevel.diagonal import gamma_1j
 from twolevel.embeddings import embed_coordinate
 
@@ -233,6 +233,18 @@ def test_compile_pure(tmp_path, capsys):
     assert obj["achieved_error"] <= 0.2
     entries = np.array([complex(re, im) for re, im in obj["diagonal"]])
     assert np.abs(entries - 1.0).max() <= 1e-12
+    # The diagonal is absorbed into the Givens blocks: the word's plane runs
+    # follow the Givens planes in table order, with no gamma runs after them,
+    # and the independent verifier agrees with the compile.
+    runs = [(d["p"], d["q"]) for d in obj["word"]]
+    runs = [pq for i, pq in enumerate(runs) if i == 0 or runs[i - 1] != pq]
+    planes = iter((f.p, f.q) for f in givens.factor(u).factors)
+    assert all(pq in planes for pq in runs)
+    r = tmp_path / "r.json"
+    r.write_text(out)
+    code, out, _ = run_cli(["verify", f, str(r)], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["achieved_error"] - obj["achieved_error"]) <= 1e-12
 
 
 def test_strata_dim4(capsys):
@@ -266,14 +278,14 @@ def test_strata_table_format(capsys):
 
 
 def test_strata_bad_dim(capsys):
-    for dim in (1, cli.STRATA_MAX_DIM + 1, 60):
+    for dim in (1, strata.STRATA_MAX_DIM + 1, 60):
         code, out, err = run_cli(["strata", "--dim", str(dim)], capsys)
         assert code == 5 and out == ""
-        assert f"[2, {cli.STRATA_MAX_DIM}]" in err
+        assert f"[2, {strata.STRATA_MAX_DIM}]" in err
 
 
 def test_strata_max_dim_runs(capsys):
-    code, out, _ = run_cli(["strata", "--dim", str(cli.STRATA_MAX_DIM), "--all"], capsys)
+    code, out, _ = run_cli(["strata", "--dim", str(strata.STRATA_MAX_DIM), "--all"], capsys)
     assert code == 0 and len(json.loads(out)) == 8349  # the partitions of 32
 
 
@@ -480,9 +492,10 @@ def test_tol_only_on_commands_that_read_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["factor", "minlog", "diag"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "1", "1e3"])
 def test_bad_tol_exits_2(tmp_path, capsys, command, tol):
-    # diag(2, 1) under --tol nan or inf used to exit 0 with a non-unitary "diagonal".
+    # diag(2, 1) under --tol nan, inf or 1e3 used to exit 0 with a non-unitary
+    # "diagonal", and diag under --tol 1 with the identity.
     for m in (np.eye(2), np.diag([2.0, 1.0])):
         f = write_matrix(tmp_path / "m.json", m)
         code, out, err = run_cli([command, f, f"--tol={tol}"], capsys)

@@ -180,7 +180,10 @@ def test_compile_accuracy_failure_reports_blocks(gate_set):
         assert achieved > budget
     # A pure compile reports every missed block, Givens and gamma alike, each
     # by its row in the one block table: the gamma rows follow the K Givens rows.
-    u = haar_unitary(3, np.random.default_rng(0))
+    # 1 + Haar(2) has no (1, j) Givens block to absorb its diagonal, so it keeps
+    # gamma rows.
+    u = np.eye(3, dtype=complex)
+    u[1:, 1:] = haar_unitary(2, np.random.default_rng(1))
     with pytest.raises(AccuracyNotReached) as exc_info:
         compile_pure(u, 0.3, gate_set, build_net(gate_set, 2), depth=0)
     k = len(factor(u).factors)

@@ -160,7 +160,8 @@ def test_matrix_json_malformed(obj):
         core.matrix_from_json(obj)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300,
+                                 1.0, 1e3, 2 * core.MAX_TOL])
 def test_bad_tolerance_is_rejected(tol):
     with pytest.raises(InvalidInput):
         core.scaled_tol(2, tol)
@@ -175,5 +176,5 @@ def test_bad_tolerance_is_rejected(tol):
 
 def test_scaled_tol_scales_a_good_tolerance():
     assert core.scaled_tol(3) == 3 * core.DEFAULT_TOL
-    assert core.scaled_tol(0, 0.5) == 0.5
+    assert core.scaled_tol(0, core.MAX_TOL) == core.MAX_TOL
     assert core.scaled_tol(4, 0.0) == 0.0

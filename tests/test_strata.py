@@ -2,6 +2,7 @@ import pytest
 
 from twolevel.errors import DimMismatch, InvalidDim, NoFaithfulStrata
 from twolevel.strata import (
+    STRATA_MAX_DIM,
     MultiplicityFamily,
     enumerate_families,
     enumerate_strata,
@@ -115,6 +116,15 @@ def test_enumerate_strata_counts_by_parity_oracle():
 def test_enumerate_strata_rejects_n1():
     with pytest.raises(NoFaithfulStrata):
         enumerate_strata(1)
+
+
+def test_enumerate_rejects_dims_above_the_bound():
+    # Raised before any partition is listed, so n = 60 (966,467 partitions) is instant.
+    for n in (STRATA_MAX_DIM + 1, 60):
+        for enumerate_ in (enumerate_families, enumerate_strata):
+            with pytest.raises(InvalidDim, match=f"\\[1, {STRATA_MAX_DIM}\\]"):
+                enumerate_(n)
+    assert len(enumerate_families(STRATA_MAX_DIM)) == partition_count_oracle(STRATA_MAX_DIM)
 
 
 def test_max_orbit_dim_from_multiplicity_free_family():
