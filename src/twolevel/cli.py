@@ -75,6 +75,8 @@ def cmd_compile(args) -> None:
     gate_set = _load_gate_set(args.gate_set)
     if not (0.0 < args.epsilon < 1.0):
         _fail(EXIT_PARSE, f"--epsilon must lie in (0, 1), got {args.epsilon}")
+    if args.sk_depth < 0:
+        _fail(EXIT_PARSE, f"--sk-depth must be >= 0, got {args.sk_depth}")
     net = config.cached_net(gate_set, args.net_max_len)
     run = compiler.compile_pure if args.pure else compiler.compile
     result = run(u, args.epsilon, gate_set, net, depth=args.sk_depth)
@@ -92,8 +94,8 @@ def cmd_strata(args) -> None:
     if not 2 <= args.dim <= strata.STRATA_MAX_DIM:
         _fail(EXIT_BAD_DIM, f"--dim must lie in [2, {strata.STRATA_MAX_DIM}], got {args.dim}")
     if args.all:
-        infos = [strata.stratum_info(f, args.dim) for f in strata.enumerate_families(args.dim)]
-        infos.sort(key=lambda s: (-s.orbit_dim, s.family.parts()))
+        infos = strata.sort_strata(strata.stratum_info(f, args.dim)
+                                   for f in strata.enumerate_families(args.dim))
     else:
         infos = strata.enumerate_strata(args.dim)
     if args.format == "table":

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, check_json_type, complex_from_json, operator_norm, scaled_tol
+from .core import as_matrix, check_json_type, check_plane, complex_from_json, operator_norm, scaled_tol
 from .diagonal import DiagonalUnitary, phase_split, synth_special_diagonal
-from .errors import AccuracyNotReached, InvalidIndex, InvalidInput, NumericalFailure
+from .errors import AccuracyNotReached, InvalidInput, NumericalFailure
 from .givens import Factorization, factor
 from .sk import (
     DEFAULT_SK_DEPTH,
@@ -154,8 +154,7 @@ class CompilationResult:
 
 def lift_word(word: GateWord, p: int, q: int) -> LiftedWord:
     """Put every letter of a word on the coordinate plane (p, q)."""
-    if not (1 <= p < q):
-        raise InvalidIndex(f"require 1 <= p < q, got ({p}, {q})")
+    check_plane(p, q)
     return LiftedWord(word, [(p, q, 0, len(word))] if len(word) else [])
 
 
@@ -302,8 +301,7 @@ def evaluate_lifted(word: LiftedWord, gate_set: GateSet, n: int) -> np.ndarray:
     table, codes = letter_table(gate_set), word.word.codes_for(gate_set)
     m = np.eye(n, dtype=np.complex128)
     for p, q, start, stop in word.segments:
-        if q > n:
-            raise InvalidIndex(f"lifted letter ({p},{q}) exceeds dim {n}")
+        check_plane(p, q, n)
         cols = [p - 1, q - 1]
         m[:, cols] = m[:, cols] @ chain_product(table[codes[start:stop]])
     return m

@@ -37,6 +37,20 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_2x2(a, what: str = "matrix") -> np.ndarray:
+    """``as_matrix`` for a 2x2 block."""
+    m = as_matrix(a)
+    if m.shape != (2, 2):
+        raise InvalidInput(f"{what} must be 2x2, got {m.shape}")
+    return m
+
+
+def check_plane(p: int, q: int, n: int | None = None) -> None:
+    """Raise InvalidInput unless (p, q) is a coordinate plane: 1 <= p < q, and q <= n if given."""
+    if not (1 <= p < q and (n is None or q <= n)):
+        raise InvalidInput(f"require 1 <= p < q{'' if n is None else f' <= {n}'}, got ({p}, {q})")
+
+
 def scaled_tol(dim: int, tol: float | None = None) -> float:
     """``tol`` (DEFAULT_TOL if None) times the dimension; the one place a
     tolerance enters, so one outside [0, MAX_TOL] raises InvalidInput."""

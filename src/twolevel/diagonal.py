@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, scaled_tol
-from .errors import InvalidIndex, InvalidInput, NotSpecial
+from .core import as_matrix, check_plane, scaled_tol
+from .errors import InvalidInput, NotSpecial, NotUnitary
 
 #: Angle-sum tolerance for det = 1 membership in the special torus.
 SPECIAL_TOL = 1e-9
@@ -69,6 +69,7 @@ class DiagonalUnitary:
 
     @classmethod
     def from_matrix(cls, u, tol: float | None = None) -> "DiagonalUnitary":
+        """InvalidInput unless ``u`` is square and diagonal, NotUnitary off the unit circle."""
         u = as_matrix(u)
         if u.shape[0] != u.shape[1]:
             raise InvalidInput("diagonal unitary must be square")
@@ -79,7 +80,7 @@ class DiagonalUnitary:
             raise InvalidInput("matrix is not diagonal")
         d = np.diag(u)
         if float(np.abs(np.abs(d) - 1.0).max()) > eps:
-            raise InvalidInput("diagonal entries are not unit modulus")
+            raise NotUnitary("diagonal entries are not unit modulus")
         return cls(np.angle(d))
 
 
@@ -94,8 +95,7 @@ class PhaseProgram:
         """Multiply out e^{i theta} * prod_j gamma_1j(t_j) as an n x n diagonal."""
         acc = np.zeros(n, dtype=np.float64)
         for j, t in self.rotations:
-            if not (2 <= j <= n):
-                raise InvalidIndex(f"rotation index {j} out of range for dim {n}")
+            check_plane(1, j, n)
             acc[0] += t / 2.0
             acc[j - 1] -= t / 2.0
         return np.diag(np.exp(1.0j * (self.global_phase + acc)))
@@ -110,8 +110,7 @@ class PhaseProgram:
 
 def gamma_1j(j: int, t: float, n: int) -> np.ndarray:
     """Two-level SU(N) phase rotation exp(t (i/2)(E_11 - E_jj)), 2 <= j <= n."""
-    if not (2 <= j <= n):
-        raise InvalidIndex(f"require 2 <= j <= {n}, got {j}")
+    check_plane(1, j, n)
     d = np.ones(n, dtype=np.complex128)
     d[0] = np.exp(1.0j * t / 2.0)
     d[j - 1] = np.exp(-1.0j * t / 2.0)

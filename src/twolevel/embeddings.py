@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, matrix_to_json, scaled_tol
-from .errors import InvalidFrame, InvalidIndex, InvalidInput
+from .core import as_2x2, as_matrix, check_plane, matrix_to_json, scaled_tol
+from .errors import InvalidInput
 
 @dataclass
 class TwoLevelFactor:
@@ -24,11 +24,8 @@ class TwoLevelFactor:
     block: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.p < self.q):
-            raise InvalidIndex(f"require 1 <= p < q, got ({self.p}, {self.q})")
-        self.block = as_matrix(self.block)
-        if self.block.shape != (2, 2):
-            raise InvalidInput(f"block must be 2x2, got {self.block.shape}")
+        check_plane(self.p, self.q)
+        self.block = as_2x2(self.block, "block")
 
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q, "block": matrix_to_json(self.block)}
@@ -37,11 +34,8 @@ class TwoLevelFactor:
 
 def embed_coordinate(p: int, q: int, v, n: int) -> np.ndarray:
     """Place the 2x2 block ``v`` on rows/columns (p, q) of I_n (1-based, p < q)."""
-    if not (1 <= p < q <= n):
-        raise InvalidIndex(f"require 1 <= p < q <= {n}, got ({p}, {q})")
-    v = as_matrix(v)
-    if v.shape != (2, 2):
-        raise InvalidInput(f"block must be 2x2, got {v.shape}")
+    check_plane(p, q, n)
+    v = as_2x2(v, "block")
     u = np.eye(n, dtype=np.complex128)
     i, j = p - 1, q - 1
     u[i, i] = v[0, 0]
@@ -58,25 +52,21 @@ def embed_frame(f, s, tol: float | None = None) -> np.ndarray:
     on Ran(F) and as the identity on its orthogonal complement.
     """
     f = as_matrix(f)
-    if f.ndim != 2 or f.shape[1] != 2 or f.shape[0] < 2:
-        raise InvalidFrame(f"frame must be N x 2 with N >= 2, got {f.shape}")
+    if f.shape[1] != 2 or f.shape[0] < 2:
+        raise InvalidInput(f"frame must be N x 2 with N >= 2, got {f.shape}")
     n = f.shape[0]
     defect = float(np.abs(f.conj().T @ f - np.eye(2)).max())
     if defect > scaled_tol(n, tol):
-        raise InvalidFrame(f"frame columns are not orthonormal: defect {defect:.3e}")
-    s = as_matrix(s)
-    if s.shape != (2, 2):
-        raise InvalidInput(f"internal action must be 2x2, got {s.shape}")
+        raise InvalidInput(f"frame columns are not orthonormal: defect {defect:.3e}")
+    s = as_2x2(s, "internal action")
     return np.eye(n, dtype=np.complex128) + f @ (s - np.eye(2)) @ f.conj().T
 
 
 def tensor_place(j: int, v, n: int) -> np.ndarray:
     """Kronecker placement of a 2x2 gate at tensor factor j of n (1-based)."""
     if not (1 <= j <= n):
-        raise InvalidIndex(f"require 1 <= j <= {n}, got {j}")
-    v = as_matrix(v)
-    if v.shape != (2, 2):
-        raise InvalidInput(f"gate must be 2x2, got {v.shape}")
+        raise InvalidInput(f"require 1 <= j <= {n}, got {j}")
+    v = as_2x2(v, "gate")
     left = np.eye(2 ** (j - 1), dtype=np.complex128)
     right = np.eye(2 ** (n - j), dtype=np.complex128)
     return np.kron(np.kron(left, v), right)

@@ -8,11 +8,8 @@ class TwoLevelError(Exception):
 
 
 class InvalidInput(TwoLevelError):
-    """Malformed or out-of-domain input (non-finite entries, bad JSON, ...)."""
-
-
-class DimMismatch(TwoLevelError):
-    """Operands have incompatible dimensions."""
+    """Malformed or out-of-domain input: bad JSON or shape, non-finite entries,
+    an index, plane or dimension out of range, a bad frame, an unknown letter."""
 
 
 class NotUnitary(TwoLevelError):
@@ -27,28 +24,8 @@ class NumericalFailure(TwoLevelError):
     """A numerical routine could not meet its internal accuracy contract."""
 
 
-class InvalidIndex(TwoLevelError):
-    """Coordinate or qubit index out of range."""
-
-
-class InvalidFrame(TwoLevelError):
-    """Frame columns are not orthonormal at the requested tolerance."""
-
-
-class InvalidDim(TwoLevelError):
-    """Dimension outside the operation's domain."""
-
-
-class UnknownLetter(TwoLevelError):
-    """Gate word references a label not present in the gate set."""
-
-
 class NetTooLarge(TwoLevelError):
     """Word enumeration exceeded the configured entry cap."""
-
-
-class NoFaithfulStrata(TwoLevelError):
-    """No faithful embedding exists at the requested dimension."""
 
 
 class AccuracyNotReached(TwoLevelError):

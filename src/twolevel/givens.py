@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import assert_unitary
+from .core import assert_unitary, check_plane
 from .embeddings import TwoLevelFactor
 from .errors import InvalidInput, NumericalFailure
 
@@ -39,8 +39,7 @@ class Factorization:
         if self.diagonal.shape != (self.n_dim,):
             raise InvalidInput(f"diagonal must have length {self.n_dim}")
         for f in self.factors:
-            if f.q > self.n_dim:
-                raise InvalidInput(f"factor ({f.p}, {f.q}) exceeds dim {self.n_dim}")
+            check_plane(f.p, f.q, self.n_dim)
 
     def to_json(self) -> dict:
         return {

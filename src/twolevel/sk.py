@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, assert_unitary, matrix_from_json, matrix_to_json
-from .errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
-from .su2 import SU2_DET_TOL, det2, quat, su2_distance
+from .core import matrix_from_json, matrix_to_json
+from .errors import AccuracyNotReached, InvalidInput, NetTooLarge
+from .su2 import as_su2, quat, su2_distance
 
 #: build_net drops a word closer than this (operator norm) to a word it kept before.
 DEDUP_TOL = 1e-6
@@ -57,17 +57,8 @@ class GateSet:
             raise InvalidInput("one matrix per label required")
         if len(set(self.labels)) != len(self.labels):
             raise InvalidInput("gate-set labels must be unique")
-        mats = []
-        for lab, m in zip(self.labels, self.matrices):
-            m = as_matrix(m)
-            if m.shape != (2, 2):
-                raise InvalidInput(f"letter {lab!r} must be 2x2, got {m.shape}")
-            m = assert_unitary(m, what=f"letter {lab!r}")
-            det = det2(m)
-            if abs(det - 1.0) > SU2_DET_TOL:
-                raise InvalidInput(f"letter {lab!r} is not special unitary (det {det:.6g})")
-            mats.append(m)
-        object.__setattr__(self, "matrices", tuple(mats))
+        object.__setattr__(self, "matrices", tuple(
+            as_su2(m, what=f"letter {lab!r}") for lab, m in zip(self.labels, self.matrices)))
 
     @classmethod
     def from_letters(cls, letters) -> "GateSet":
@@ -78,7 +69,7 @@ class GateSet:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise UnknownLetter(f"unknown letter {label!r}") from None
+            raise InvalidInput(f"unknown letter {label!r}") from None
 
     def to_json(self) -> dict:
         return {
@@ -148,8 +139,8 @@ class GateWord:
     def codes_for(self, gate_set: GateSet) -> np.ndarray:
         """The codes over the letter order of ``gate_set``.
 
-        Only labels the word uses are looked up, so UnknownLetter is raised
-        exactly when ``gate_set`` lacks a letter of the word.
+        Only labels the word uses are looked up, so InvalidInput ("unknown
+        letter") is raised exactly when ``gate_set`` lacks a letter of the word.
         """
         index = np.zeros(len(self.labels), dtype=np.int16)
         for i in np.flatnonzero(np.bincount(self.codes >> 1, minlength=len(index))).tolist():
@@ -516,11 +507,10 @@ def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = DEFAULT
     the distance re-checked from the word; raises AccuracyNotReached (with
     the best achieved distance and word) if the budget cannot be met.
     A level whose residual rotates by more than pi/2, outside the
-    commutator's regime, keeps the previous level's word.
+    commutator's regime, keeps the previous level's word.  A ``v`` outside
+    SU(2) raises NotUnitary or NotSpecial (``su2.as_su2``) before any lookup.
     """
-    v = as_matrix(v)
-    if v.shape != (2, 2):
-        raise InvalidInput(f"expected a 2x2 matrix, got {v.shape}")
+    v = as_su2(v)
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
     if depth < 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimMismatch, InvalidDim, InvalidInput, NoFaithfulStrata
+from .errors import InvalidInput
 
 #: Largest n that ``enumerate_families`` and ``enumerate_strata`` take: they
 #: list every partition of n, 8,349 at 32 (about 0.35 s and 0.9 MB of JSON
@@ -89,7 +89,7 @@ def _partitions(n: int, max_part: int):
 def enumerate_families(n: int) -> list[MultiplicityFamily]:
     """All multiplicity families with total dimension n, in partition order."""
     if not 1 <= n <= STRATA_MAX_DIM:
-        raise InvalidDim(f"dimension must lie in [1, {STRATA_MAX_DIM}], got {n}")
+        raise InvalidInput(f"dimension must lie in [1, {STRATA_MAX_DIM}], got {n}")
     return [MultiplicityFamily.from_parts(p) for p in _partitions(n, n)]
 
 
@@ -101,31 +101,29 @@ def is_faithful(family: MultiplicityFamily) -> bool:
 def stratum_info(family: MultiplicityFamily, n: int) -> StratumInfo:
     """Stabilizer factors and orbit dimension N^2 - sum m_d^2 for a family."""
     if family.total_dim() != n:
-        raise DimMismatch(
-            f"family has total dimension {family.total_dim()}, expected {n}"
-        )
+        raise InvalidInput(f"family has total dimension {family.total_dim()}, expected {n}")
     stab = tuple(m for _, m in family.mults)
     orbit = n * n - sum(m * m for m in stab)
     return StratumInfo(family, is_faithful(family), stab, orbit)
 
 
-def enumerate_strata(n: int) -> list[StratumInfo]:
-    """All faithful strata at dimension n <= STRATA_MAX_DIM, by decreasing
-    orbit dimension.
+def sort_strata(infos) -> list[StratumInfo]:
+    """Strata by decreasing orbit dimension, ties broken by the lexicographic
+    partition view of the family."""
+    return sorted(infos, key=lambda s: (-s.orbit_dim, s.family.parts()))
 
-    Ties are broken by the lexicographic partition view of the family.
-    """
+
+def enumerate_strata(n: int) -> list[StratumInfo]:
+    """All faithful strata at dimension n <= STRATA_MAX_DIM, in ``sort_strata`` order."""
     if n < 2:
-        raise NoFaithfulStrata(f"SU(2) has no faithful representation in dimension {n}")
-    infos = [stratum_info(f, n) for f in enumerate_families(n) if is_faithful(f)]
-    infos.sort(key=lambda s: (-s.orbit_dim, s.family.parts()))
-    return infos
+        raise InvalidInput(f"SU(2) has no faithful representation in dimension {n}")
+    return sort_strata(stratum_info(f, n) for f in enumerate_families(n) if is_faithful(f))
 
 
 def two_level_stratum_dim(n: int) -> int:
     """Dimension 4N - 5 of the two-level stratum (m_1 = 1, m_0 = N - 2)."""
     if n < 3:
-        raise InvalidDim(f"two-level stratum needs dim >= 3, got {n}")
+        raise InvalidInput(f"two-level stratum needs dim >= 3, got {n}")
     value = 4 * n - 5
     check = stratum_info(MultiplicityFamily(((1, 1), (0, n - 2))), n).orbit_dim
     if value != check:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULI, as_matrix, assert_unitary, operator_norm
+from .core import PAULI, as_2x2, assert_unitary, operator_norm
 from .diagonal import principal_angle
 from .errors import InvalidInput, NotSpecial
 
@@ -36,16 +36,18 @@ class MinLogResult:
     unique: bool
 
 
-def _as_2x2_unitary(v, tol: float | None = None) -> np.ndarray:
-    v = as_matrix(v)
-    if v.shape != (2, 2):
-        raise InvalidInput(f"matrix must be 2x2, got {v.shape}")
-    return assert_unitary(v, tol)
-
-
 def det2(v: np.ndarray) -> complex:
     """Determinant of a 2x2 matrix."""
     return v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+
+
+def as_su2(v, tol: float | None = None, what: str = "matrix") -> np.ndarray:
+    """``v`` as a 2x2 matrix in SU(2): InvalidInput unless 2x2, NotUnitary unless
+    unitary at ``tol``, NotSpecial unless |det - 1| <= SU2_DET_TOL."""
+    v = assert_unitary(as_2x2(v, what), tol, what)
+    if abs(det2(v) - 1.0) > SU2_DET_TOL:
+        raise NotSpecial(f"{what} has det {det2(v):.6g}, not 1")
+    return v
 
 
 def rotation(axis, theta: float) -> np.ndarray:
@@ -100,7 +102,7 @@ def split_phase_u2(v, tol: float | None = None) -> tuple[float, np.ndarray]:
     e^{i theta} is the principal square root of det(V): theta is half the
     principal argument, so theta lies in (-pi/2, pi/2].
     """
-    v = _as_2x2_unitary(v, tol)
+    v = assert_unitary(as_2x2(v), tol)
     theta = 0.5 * float(np.angle(det2(v)))
     s = np.exp(-1.0j * theta) * v
     return theta, s
@@ -112,9 +114,7 @@ def minlog_su2(v, tol: float | None = None) -> MinLogResult:
     The result is flagged non-unique exactly at the cut locus (alpha = pi,
     within CUT_LOCUS_TOL), where every traceless direction of norm pi works.
     """
-    v = _as_2x2_unitary(v, tol)
-    if abs(det2(v) - 1.0) > SU2_DET_TOL:
-        raise NotSpecial(f"matrix has det {det2(v):.6g}, not 1")
+    v = as_su2(v, tol)
     alpha, n = axis_angle(quat(v))
     return MinLogResult(
         generator=from_quat((0.0, *(alpha * n))), hs_norm=alpha, unique=np.pi - alpha >= CUT_LOCUS_TOL

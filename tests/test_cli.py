@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twolevel
-from twolevel import cli, compiler, core, givens, sk, strata
+from twolevel import cli, compiler, core, errors, givens, sk, strata
 from twolevel.diagonal import gamma_1j
 from twolevel.embeddings import embed_coordinate
 
@@ -370,6 +370,18 @@ def test_diag_rejects_non_diagonal(tmp_path, capsys):
     assert code == 7
 
 
+def test_diag_exit_code_tells_non_unitary_from_non_diagonal(tmp_path, capsys):
+    # A diagonal off the unit circle is non-unitary input, as for factor and minlog.
+    f = write_matrix(tmp_path / "m.json", np.diag([2.0, 1.0]))
+    code, out, err = run_cli(["diag", f], capsys)
+    assert (code, out) == (3, "") and "not unit modulus" in err
+    for command in ("factor", "minlog"):
+        assert run_cli([command, f], capsys)[:2] == (3, "")
+    f = write_matrix(tmp_path / "m.json", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    code, out, err = run_cli(["diag", f], capsys)
+    assert (code, out) == (7, "") and "not diagonal" in err
+
+
 def test_verify_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(7)
     u = haar_unitary(4, rng)
@@ -527,14 +539,49 @@ def test_failed_net_save_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["identity", "haar"])
-def test_compile_rejects_negative_sk_depth(tmp_path, capsys, kind):
+def test_compile_rejects_negative_sk_depth(tmp_path, capsys, monkeypatch, kind):
+    # Rejected beside --epsilon, so an empty cache is neither built nor written.
+    (tmp_path / "cache").mkdir()
+    monkeypatch.setattr(sk, "build_net", lambda *a: pytest.fail("net built"))
     u = np.eye(3) if kind == "identity" else haar_unitary(3, np.random.default_rng(16))
     f = write_matrix(tmp_path / "m.json", u)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sk_depth": -1}))
     for pure in ([], ["--pure"]):
-        code, out, err = run_cli(["compile", f, "--epsilon", "0.1", "--net-max-len", "4",
-                                  "--sk-depth", "-1"] + pure, capsys)
-        assert code == 2 and out == ""
-        assert "depth must be >= 0" in err
+        for argv in (["compile", f, "--epsilon", "0.1", "--net-max-len", "4", "--sk-depth", "-1"],
+                     ["--config", str(cfg), "compile", f, "--epsilon", "0.1"]):
+            code, out, err = run_cli(argv + pure, capsys)
+            assert code == 2 and out == ""
+            assert "--sk-depth must be >= 0, got -1" in err
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def _readme_table(heading: str) -> list[list[str]]:
+    """The cells of each body row of the first table after ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text[text.index(heading):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_every_error_class_has_the_readme_exit_code():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.TwoLevelError)}
+    assert sorted(classes) == sorted(["TwoLevelError", "InvalidInput", "NotUnitary",
+                                      "AccuracyNotReached", "NotSpecial",
+                                      "NumericalFailure", "NetTooLarge"])
+    documented = {row[0].strip("`"): int(row[-1].split()[0]) for row in _readme_table("## Errors")}
+    assert documented.keys() == classes.keys()
+    exit_rows = {int(row[0]): row[1] for row in _readme_table("Exit codes, one table")}
+    for name, cls in classes.items():
+        code = cli._EXIT_CODES.get(cls, cli.EXIT_PARSE)
+        assert documented[name] == code, name
+        assert f"`{name}`" in exit_rows[code], name
 
 
 def test_net_cache_is_keyed_on_dedup_tol(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from twolevel.diagonal import (
     synth_full_diagonal,
     synth_special_diagonal,
 )
-from twolevel.errors import InvalidIndex, InvalidInput, NotSpecial
+from twolevel.errors import InvalidInput, NotSpecial, NotUnitary
 
 
 def random_torus(n, rng):
@@ -95,9 +95,9 @@ def test_gamma_factors_commute():
 
 
 def test_gamma_bad_index():
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=r"require 1 <= p < q <= 4, got \(1, 1\)"):
         gamma_1j(1, 0.5, 4)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=r"require 1 <= p < q <= 4, got \(1, 5\)"):
         gamma_1j(5, 0.5, 4)
 
 
@@ -167,9 +167,9 @@ def test_synth_full_random():
 
 
 def test_diagonal_unitary_from_matrix_validation():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="not diagonal"):
         DiagonalUnitary.from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(NotUnitary, match="not unit modulus"):
         DiagonalUnitary.from_matrix(np.diag([2.0, 1.0]))
     d = DiagonalUnitary.from_matrix(np.diag([1.0j, -1.0j]))
     assert np.abs(d.angles - [np.pi / 2, -np.pi / 2]).max() < 1e-15

@@ -3,7 +3,7 @@ import pytest
 
 from twolevel import core, embeddings
 from twolevel.embeddings import embed_coordinate, embed_frame, tensor_place
-from twolevel.errors import InvalidFrame, InvalidIndex, InvalidInput
+from twolevel.errors import InvalidInput
 
 from util import haar_su2, haar_unitary, random_frame
 
@@ -33,7 +33,7 @@ def test_embed_coordinate_entry_placement():
 
 def test_embed_coordinate_bad_indices():
     for p, q in ((0, 2), (2, 2), (3, 2), (1, 9)):
-        with pytest.raises(InvalidIndex):
+        with pytest.raises(InvalidInput, match=r"require 1 <= p < q <= 8, got"):
             embed_coordinate(p, q, np.eye(2), 8)
 
 
@@ -128,7 +128,7 @@ def test_embed_frame_generator_hs_isometry():
 
 def test_embed_frame_rejects_bad_frame():
     f = np.ones((4, 2), dtype=complex)
-    with pytest.raises(InvalidFrame):
+    with pytest.raises(InvalidInput, match="frame columns are not orthonormal"):
         embed_frame(f, np.eye(2))
 
 
@@ -172,14 +172,14 @@ def test_tensor_place_mixed_product():
 
 
 def test_tensor_place_bad_index():
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=r"require 1 <= j <= 2, got 0"):
         tensor_place(0, np.eye(2), 2)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=r"require 1 <= j <= 2, got 3"):
         tensor_place(3, np.eye(2), 2)
 
 
 def test_two_level_factor_validation():
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=r"require 1 <= p < q, got \(3, 2\)"):
         embeddings.TwoLevelFactor(3, 2, np.eye(2))
     with pytest.raises(InvalidInput):
         embeddings.TwoLevelFactor(1, 2, np.eye(3))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import config, core, sk, su2
-from twolevel.errors import AccuracyNotReached, InvalidInput, NetTooLarge, UnknownLetter
+from twolevel.errors import AccuracyNotReached, InvalidInput, NetTooLarge, NotSpecial, NotUnitary
 from twolevel.sk import (
     BasicNet,
     GateSet,
@@ -34,7 +34,7 @@ def ht_set():
 
 
 def test_gate_set_validation():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(NotSpecial, match="letter 'a' has det"):
         GateSet.from_letters([("a", np.diag([1.0j, 1.0]))])  # det != 1
     with pytest.raises(InvalidInput):
         GateSet.from_letters([("a", h_like()), ("a", t_like())])  # dup labels
@@ -142,7 +142,7 @@ def test_evaluate_word_single_letter(ht_set):
 
 
 def test_evaluate_word_unknown_letter(ht_set):
-    with pytest.raises(UnknownLetter):
+    with pytest.raises(InvalidInput, match="unknown letter 'zz'"):
         evaluate_word(GateWord((("zz", False),)), ht_set)
 
 
@@ -647,6 +647,16 @@ def test_sk_rejects_bad_eps(net8):
         sk_approximate_with_error(np.eye(2), 0.0, net8)
     with pytest.raises(InvalidInput):
         sk_approximate_with_error(np.eye(2), 1.5, net8)
+
+
+@pytest.mark.parametrize("v, error", [(1j * np.eye(2), NotSpecial),
+                                      (np.zeros((2, 2)), NotUnitary),
+                                      (np.diag([1.0, -1.0]), NotSpecial)])
+def test_sk_rejects_a_target_outside_su2_before_any_lookup(net8, monkeypatch, v, error):
+    # Such a target used to scan the whole s window, then miss as AccuracyNotReached.
+    monkeypatch.setattr(BasicNet, "nearest", lambda *a: pytest.fail("net lookup"))
+    with pytest.raises(error, match="det -1|unitarity"):
+        sk_approximate_with_error(v, 0.1, net8)
 
 
 def test_sk_non_dense_alphabet_fails_gracefully():

@@ -1,6 +1,6 @@
 import pytest
 
-from twolevel.errors import DimMismatch, InvalidDim, NoFaithfulStrata
+from twolevel.errors import InvalidInput
 from twolevel.strata import (
     STRATA_MAX_DIM,
     MultiplicityFamily,
@@ -77,7 +77,7 @@ def test_stratum_info_stabilizer_factors():
 
 
 def test_stratum_info_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(InvalidInput, match="family has total dimension 2, expected 4"):
         stratum_info(MultiplicityFamily(((1, 1),)), 4)
 
 
@@ -114,7 +114,7 @@ def test_enumerate_strata_counts_by_parity_oracle():
 
 
 def test_enumerate_strata_rejects_n1():
-    with pytest.raises(NoFaithfulStrata):
+    with pytest.raises(InvalidInput, match="no faithful representation in dimension 1"):
         enumerate_strata(1)
 
 
@@ -122,7 +122,7 @@ def test_enumerate_rejects_dims_above_the_bound():
     # Raised before any partition is listed, so n = 60 (966,467 partitions) is instant.
     for n in (STRATA_MAX_DIM + 1, 60):
         for enumerate_ in (enumerate_families, enumerate_strata):
-            with pytest.raises(InvalidDim, match=f"\\[1, {STRATA_MAX_DIM}\\]"):
+            with pytest.raises(InvalidInput, match=f"\\[1, {STRATA_MAX_DIM}\\]"):
                 enumerate_(n)
     assert len(enumerate_families(STRATA_MAX_DIM)) == partition_count_oracle(STRATA_MAX_DIM)
 
@@ -141,7 +141,7 @@ def test_two_level_stratum_dim(n, expected):
 
 
 def test_two_level_stratum_dim_rejects_small():
-    with pytest.raises(InvalidDim):
+    with pytest.raises(InvalidInput, match="two-level stratum needs dim >= 3, got 2"):
         two_level_stratum_dim(2)
 
 

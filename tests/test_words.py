@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from twolevel import build_net, compiler, su2
 from twolevel.compiler import CompilationResult, LiftedWord, lift_word, verify
-from twolevel.errors import InvalidIndex, InvalidInput, UnknownLetter
+from twolevel.errors import InvalidInput
 from twolevel.sk import GateSet, GateWord, evaluate_word
 
 from util import haar_su2, haar_unitary, lifted
@@ -142,9 +142,9 @@ def test_evaluate_lifted_is_exact_on_empty_and_single_letters(letters):
 def test_unknown_label_is_rejected(letters, at):
     letters = list(letters)
     letters.insert(at % (len(letters) + 1), ("zz", False))
-    with pytest.raises(UnknownLetter):
+    with pytest.raises(InvalidInput, match="unknown letter 'zz'"):
         evaluate_word(GateWord(letters), ALPHABET)
-    with pytest.raises(UnknownLetter):
+    with pytest.raises(InvalidInput, match="unknown letter 'zz'"):
         compiler.evaluate_lifted(lifted([(lab, inv, 1, 2) for lab, inv in letters]), ALPHABET, 2)
 
 
@@ -152,7 +152,7 @@ def test_unknown_label_is_rejected(letters, at):
 def test_plane_outside_dim_is_rejected(letters, q):
     letters = letters + [("a", False, 1, q)]
     n = max(q for _, _, _, q in letters) - 1
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=f"require 1 <= p < q <= {n}, got"):
         compiler.evaluate_lifted(lifted(letters), ALPHABET, n)
 
 
@@ -176,7 +176,7 @@ def test_net_words_evaluate_over_only_the_letters_they_use():
 
 
 def test_lift_word_rejects_bad_plane():
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(InvalidInput, match=r"require 1 <= p < q, got \(2, 2\)"):
         lift_word(GateWord((("a", False),)), 2, 2)
 
 
