@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, check_json_type, check_plane, complex_from_json, operator_norm, scaled_tol
+from .core import (as_count, as_matrix, check_json_type, check_plane, complex_from_json,
+                   operator_norm, scaled_tol)
 from .diagonal import DiagonalUnitary, phase_split, synth_special_diagonal
 from .errors import AccuracyNotReached, InvalidInput, NumericalFailure
 from .givens import Factorization, factor
@@ -242,8 +243,7 @@ def _compile(u, eps: float, gate_set: GateSet, net: BasicNet, depth: int,
     u = as_matrix(u)
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
-    if depth < 0:
-        raise InvalidInput("depth must be >= 0")
+    depth = as_count(depth, "depth")
     _check_alphabet(gate_set, net)
     fact = factor(u)
     blocks, diagonal, theta = _specialize_blocks(fact, eps, pure)

@@ -45,6 +45,13 @@ def as_2x2(a, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_count(n, what: str) -> int:
+    """``n`` as an int if it is a Python or numpy integer >= 0 (a bool is not), else InvalidInput."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0:
+        return int(n)
+    raise InvalidInput(f"{what} must be an integer >= 0, got {n!r:.80}")
+
+
 def check_plane(p: int, q: int, n: int | None = None) -> None:
     """Raise InvalidInput unless (p, q) is a coordinate plane: 1 <= p < q, and q <= n if given."""
     if not (1 <= p < q and (n is None or q <= n)):

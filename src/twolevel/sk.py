@@ -12,10 +12,13 @@ norm.  Lookup exploits that for U, V in SU(2)
 so distance-to-identity values s = sqrt(2 - 2a) give a one-dimensional
 lower bound |s_U - s_V| <= ||U - V|| used to prune the scan window.  The
 net keeps a copy of its quaternions sorted by s, so each window is one
-contiguous slice, and its net file stores that sort order.  Matrices
-appear only where a word meets the gate set, so each reported error is
-re-checked from the word alone.  Nets are immutable after construction
-and safe to share across threads.
+contiguous slice, and its net file stores that sort order.
+
+Solovay-Kitaev (Dawson-Nielsen, quant-ph/0505030) is one recursive
+function, ``_sk``, that deepens level by level from the nearest net entry
+until a level is within eps.  Matrices appear only where a word meets the
+gate set, so each reported error is re-checked from the word alone.  Nets
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matrix_from_json, matrix_to_json
+from .core import as_count, matrix_from_json, matrix_to_json
 from .errors import AccuracyNotReached, InvalidInput, NetTooLarge
 from .su2 import as_su2, quat, su2_distance
 
@@ -400,8 +403,7 @@ def build_net(gate_set: GateSet, max_len: int, cap: int = DEFAULT_NET_CAP) -> Ba
     shorter word wins.  Only kept words are extended.  Raises NetTooLarge
     beyond ``cap`` entries.
     """
-    if max_len < 0:
-        raise InvalidInput("max_len must be >= 0")
+    max_len = as_count(max_len, "max_len")
     n_ext = 2 * len(gate_set.labels)
     ext = quat(letter_table(gate_set)).T[:, None, :]
     letters = np.arange(n_ext, dtype=np.int16)
@@ -452,70 +454,51 @@ def _balanced_pair(delta) -> tuple[tuple, tuple]:
     return _qmul(_qmul(h, (c, s, 0.0, 0.0)), hc), _qmul(_qmul(h, (c, 0.0, s, 0.0)), hc)
 
 
-class _SkSession:
-    """One sk_approximate_with_error run: memoized fixed-depth recursion over the net.
+def _sk(net: BasicNet, target: tuple, depth: int, eps: float = 0.0):
+    """Dawson-Nielsen recursion for the quaternion ``target``: (codes, quaternion, error).
 
-    Targets and products are quaternion 4-tuples.  Results are (letter
-    codes, quaternion, error); words are assembled by array concatenation,
-    the inverse of a word being ``codes[::-1] ^ 1``.
+    Starts from the nearest net entry m.  Each of up to ``depth`` levels
+    writes the residual target m^-1 as a balanced commutator (``_balanced_pair``)
+    of two targets, approximates both one level shallower, and keeps the
+    corrected word only if it is strictly closer.  Stops at the first level
+    within ``eps``, or once the residual rotates by more than pi/2, outside the
+    commutator's regime.  Sub-calls pass eps = 0, so they stop early only on an
+    exact match, which no later level could beat.  The inverse of a word is
+    ``codes[::-1] ^ 1``.
     """
-
-    def __init__(self, net: BasicNet):
-        self.net = net
-        self.memo: dict = {}
-
-    def run(self, target: tuple, eps: float, depth: int):
-        # Each level returns the previous level's result or a strictly better one.
-        for d in range(depth + 1):
-            res = self._go(target, d)
-            if res[2] <= eps:
-                break
-        return res
-
-    def _go(self, target: tuple, d: int):
-        key = (target, d)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if d == 0:
-            idx, err = self.net.nearest(target)
-            res = (self.net.codes_at(idx), tuple(self.net.quats[idx].tolist()), err)
-        else:
-            prev_w, prev_m, prev_e = self._go(target, d - 1)
-            delta = _qmul(target, _qconj(prev_m))
-            if 2.0 * math.atan2(math.hypot(*delta[1:]), delta[0]) > math.pi / 2.0:
-                res = (prev_w, prev_m, prev_e)
-            else:
-                a, b = _balanced_pair(delta)
-                wa, ma, _ = self._go(a, d - 1)
-                wb, mb, _ = self._go(b, d - 1)
-                m = _qmul(_qmul(_qmul(_qmul(ma, mb), _qconj(ma)), _qconj(mb)), prev_m)
-                e = math.sqrt(max(2.0 - 2.0 * _qdot(target, m), 0.0))
-                if e < prev_e:
-                    res = (np.concatenate((wa, wb, wa[::-1] ^ 1, wb[::-1] ^ 1, prev_w)), m, e)
-                else:
-                    res = (prev_w, prev_m, prev_e)
-        self.memo[key] = res
-        return res
+    idx, err = net.nearest(target)
+    codes, m = net.codes_at(idx), tuple(net.quats[idx].tolist())
+    for level in range(depth):
+        if err <= eps:
+            break
+        delta = _qmul(target, _qconj(m))
+        if 2.0 * math.atan2(math.hypot(*delta[1:]), delta[0]) > math.pi / 2.0:
+            break
+        a, b = _balanced_pair(delta)
+        wa, ma, _ = _sk(net, a, level)
+        wb, mb, _ = _sk(net, b, level)
+        m_new = _qmul(_qmul(_qmul(_qmul(ma, mb), _qconj(ma)), _qconj(mb)), m)
+        e = math.sqrt(max(2.0 - 2.0 * _qdot(target, m_new), 0.0))
+        if e < err:
+            codes, m, err = np.concatenate((wa, wb, wa[::-1] ^ 1, wb[::-1] ^ 1, codes)), m_new, e
+    return codes, m, err
 
 
 def sk_approximate_with_error(v, eps: float, net: BasicNet, depth: int = DEFAULT_SK_DEPTH):
     """Word over the net's alphabet within ``eps`` of ``v`` in operator norm.
 
-    Iteratively deepens the commutator recursion up to ``depth``, stopping
-    as soon as the target accuracy is met.  Returns ``(word, achieved)``,
-    the distance re-checked from the word; raises AccuracyNotReached (with
-    the best achieved distance and word) if the budget cannot be met.
-    A level whose residual rotates by more than pi/2, outside the
-    commutator's regime, keeps the previous level's word.  A ``v`` outside
-    SU(2) raises NotUnitary or NotSpecial (``su2.as_su2``) before any lookup.
+    Runs ``_sk``, which deepens the commutator recursion level by level up
+    to ``depth`` and stops as soon as the target accuracy is met.  Returns
+    ``(word, achieved)``, the distance re-checked from the word; raises
+    AccuracyNotReached (with the best achieved distance and word) if the
+    budget cannot be met.  A ``v`` outside SU(2) raises NotUnitary or
+    NotSpecial (``su2.as_su2``) before any lookup, and a ``depth`` that is not
+    an integer >= 0 raises InvalidInput (``core.as_count``).
     """
     v = as_su2(v)
     if not (0.0 < eps < 1.0):
         raise InvalidInput(f"eps must lie in (0, 1), got {eps}")
-    if depth < 0:
-        raise InvalidInput("depth must be >= 0")
-    codes, _, _ = _SkSession(net).run(tuple(quat(v).tolist()), eps, depth)
+    codes, _, _ = _sk(net, tuple(quat(v).tolist()), as_count(depth, "depth"), eps)
     word = GateWord.from_codes(codes, net.gate_set.labels)
     achieved = su2_distance(v, evaluate_word(word, net.gate_set))
     if achieved > eps:

@@ -148,8 +148,9 @@ def test_empty_matrix_is_invalid_input(gate_set, net8, shape):
 def test_compile_rejects_negative_depth(gate_set, net8, kind, pure):
     u = np.eye(3) if kind == "identity" else haar_unitary(3, np.random.default_rng(21))
     run = compile_pure if pure else tl_compile
-    with pytest.raises(InvalidInput, match="depth"):
-        run(u, 0.1, gate_set, net8, depth=-1)
+    for depth in (-1, 2.5, "3", True, np.float64(2.0), None):
+        with pytest.raises(InvalidInput, match="depth must be an integer >= 0"):
+            run(u, 0.1, gate_set, net8, depth=depth)
 
 
 def test_compile_rejects_mismatched_alphabet(net12):

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twolevel import config, core, sk, su2
@@ -16,7 +16,7 @@ from twolevel.sk import (
     sk_approximate_with_error,
 )
 
-from util import gather_nearest, haar_su2
+from util import _SkSession, gather_nearest, haar_su2
 
 
 def h_like():
@@ -657,6 +657,52 @@ def test_sk_rejects_a_target_outside_su2_before_any_lookup(net8, monkeypatch, v,
     monkeypatch.setattr(BasicNet, "nearest", lambda *a: pytest.fail("net lookup"))
     with pytest.raises(error, match="det -1|unitarity"):
         sk_approximate_with_error(v, 0.1, net8)
+
+
+#: Each value a depth or net length is rejected for; the rule is ``core.as_count``.
+BAD_COUNTS = [-1, 2.5, "3", True, np.float64(2.0), None]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=repr)
+def test_sk_and_build_net_reject_a_bad_count(net8, ht_set, bad):
+    with pytest.raises(InvalidInput, match="depth must be an integer >= 0"):
+        sk_approximate_with_error(np.eye(2), 0.1, net8, depth=bad)
+    with pytest.raises(InvalidInput, match="max_len must be an integer >= 0"):
+        build_net(ht_set, bad)
+
+
+def test_sk_and_build_net_take_numpy_integers(net8, ht_set):
+    v = haar_su2(np.random.default_rng(8))
+    assert sk_approximate_with_error(v, 0.1, net8, depth=np.int64(3)) == \
+        sk_approximate_with_error(v, 0.1, net8, depth=3)
+    assert len(build_net(ht_set, np.int32(3))) == len(build_net(ht_set, 3))
+
+
+@pytest.fixture(scope="module")
+def z_net():
+    """A one-letter, non-dense alphabet: every word is a z rotation, so the
+    residual of a target far from the z axis rotates by more than pi/2."""
+    return build_net(GateSet.from_letters([("rz", su2.rot_z(np.pi / 4))]), 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["haar", "entry", "non_dense"]), st.integers(0, 4),
+       st.floats(1e-4, 0.3), st.integers(0, 2**32 - 1))
+# Targets whose inner calls get within eps at a level where the top level
+# does not, so an inner call that stopped at eps would return another word.
+@example("haar", 2, 0.047, 354)
+@example("haar", 4, 0.071, 15)
+def test_sk_matches_the_memoized_reference(net8, z_net, kind, depth, eps, seed):
+    # The plain recursion returns, bit for bit, what the memoized fixed-depth
+    # recursion it replaced returns: codes, quaternion and error.
+    rng = np.random.default_rng(seed)
+    net = z_net if kind == "non_dense" else net8
+    t = net.quats[rng.integers(len(net))] if kind == "entry" else _unit(rng.standard_normal(4))
+    t = tuple(t.tolist())
+    codes, m, err = sk._sk(net, t, depth, eps)
+    ref_codes, ref_m, ref_err = _SkSession(net).run(t, eps, depth)
+    assert codes.dtype == ref_codes.dtype and np.array_equal(codes, ref_codes)
+    assert m == ref_m and err == ref_err
 
 
 def test_sk_non_dense_alphabet_fails_gracefully():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twolevel.errors import InvalidInput
@@ -138,6 +139,39 @@ def test_max_orbit_dim_from_multiplicity_free_family():
 @pytest.mark.parametrize("n,expected", [(4, 11), (8, 27), (16, 59)])
 def test_two_level_stratum_dim(n, expected):
     assert two_level_stratum_dim(n) == expected
+    # The closed form 4N - 5 is the orbit dimension of m_1 = 1, m_0 = N - 2.
+    for k in range(3, STRATA_MAX_DIM + 1):
+        family = MultiplicityFamily(((1, 1), (0, k - 2)))
+        assert two_level_stratum_dim(k) == stratum_info(family, k).orbit_dim
+
+
+def test_family_takes_a_dict_and_numpy_integers():
+    assert MultiplicityFamily({0: 2, 1: 1}).mults == ((1, 1), (0, 2))
+    assert MultiplicityFamily(((np.int64(1), np.int32(2)),)).mults == ((1, 2),)
+
+
+@pytest.mark.parametrize("mults, match", [
+    (((1, 1), (1, 2)), "spin label 1 is repeated"),
+    (((1, 1), (1, 0)), "spin label 1 is repeated"),
+    (((1, 1.7),), "multiplicity must be an integer"),
+    (((1, 2.0),), "multiplicity must be an integer"),
+    (((True, 2),), "spin label must be an integer"),
+    (((1, False),), "multiplicity must be an integer"),
+    ((("1", 2),), "spin label must be an integer"),
+    (((1, "2"),), "multiplicity must be an integer"),
+    (((-1, 2),), "spin label must be an integer >= 0"),
+    (((1, -2),), "multiplicity must be an integer >= 0"),
+    ({1.5: 1}, "spin label must be an integer"),
+    (((1,),), "pairs"),
+    (((1, 2, 3),), "pairs"),
+    (5, "pairs"),
+    (None, "pairs"),
+], ids=repr)
+def test_family_rejects_bad_input(mults, match):
+    # Apart from the negative values, each of these used to be coerced, merged
+    # into a family of another dimension, or to escape as a raw TypeError or ValueError.
+    with pytest.raises(InvalidInput, match=match):
+        MultiplicityFamily(mults)
 
 
 def test_two_level_stratum_dim_rejects_small():

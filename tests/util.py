@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from twolevel.compiler import LiftedWord
-from twolevel.sk import TIE_TOL
+from twolevel.sk import TIE_TOL, BasicNet, _balanced_pair, _qconj, _qdot, _qmul
 
 
 def haar_unitary(n, rng):
@@ -85,3 +87,53 @@ def gather_nearest(net, t):
     words = {j: net.word_at(int(window[j])) for j in ties.tolist()}
     k = min(words, key=lambda j: (len(words[j]), words[j].letters))
     return int(window[k]), float(np.sqrt(max(float(d2[k]), 0.0)))
+
+
+class _SkSession:
+    """Reference ``sk._sk``: one SK run as a memoized fixed-depth recursion over the net.
+
+    ``run(target, eps, depth)`` deepens ``_go`` level by level, as ``_sk`` does
+    at its top level, but every sub-call runs all of its levels.
+
+    Targets and products are quaternion 4-tuples.  Results are (letter
+    codes, quaternion, error); words are assembled by array concatenation,
+    the inverse of a word being ``codes[::-1] ^ 1``.
+    """
+
+    def __init__(self, net: BasicNet):
+        self.net = net
+        self.memo: dict = {}
+
+    def run(self, target: tuple, eps: float, depth: int):
+        # Each level returns the previous level's result or a strictly better one.
+        for d in range(depth + 1):
+            res = self._go(target, d)
+            if res[2] <= eps:
+                break
+        return res
+
+    def _go(self, target: tuple, d: int):
+        key = (target, d)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if d == 0:
+            idx, err = self.net.nearest(target)
+            res = (self.net.codes_at(idx), tuple(self.net.quats[idx].tolist()), err)
+        else:
+            prev_w, prev_m, prev_e = self._go(target, d - 1)
+            delta = _qmul(target, _qconj(prev_m))
+            if 2.0 * math.atan2(math.hypot(*delta[1:]), delta[0]) > math.pi / 2.0:
+                res = (prev_w, prev_m, prev_e)
+            else:
+                a, b = _balanced_pair(delta)
+                wa, ma, _ = self._go(a, d - 1)
+                wb, mb, _ = self._go(b, d - 1)
+                m = _qmul(_qmul(_qmul(_qmul(ma, mb), _qconj(ma)), _qconj(mb)), prev_m)
+                e = math.sqrt(max(2.0 - 2.0 * _qdot(target, m), 0.0))
+                if e < prev_e:
+                    res = (np.concatenate((wa, wb, wa[::-1] ^ 1, wb[::-1] ^ 1, prev_w)), m, e)
+                else:
+                    res = (prev_w, prev_m, prev_e)
+        self.memo[key] = res
+        return res
